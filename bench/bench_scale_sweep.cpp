@@ -14,8 +14,11 @@
 /// The sweep runs both transport fidelities: the packet-level rows
 /// (k = 8..20) are the historical baseline, and the flow-level rows rerun
 /// the same configurations plus the k = 32/48 fat trees the fluid model
-/// unlocks (k = 64 with --big; its central recompute alone runs minutes
-/// on one core). `sim_wall/*-ospf` records each sweep's simulation phase
+/// unlocks. k = 64 stays under --big for its memory, not its SPFs: its
+/// 4 096 ToR and aggregation switches each hold ~2 048 routes of 32 next
+/// hops at 8 B, about 2 GB of next hops for one route set, and a
+/// recompute holds a second set in its in-flight FIB pushes.
+/// `sim_wall/*-ospf` records each sweep's simulation phase
 /// (topology build + convergence excluded, but shared OSPF event
 /// machinery included — both fidelities pay the same LSA/SPF cost, so
 /// these rows converge at small k). The `sim_wall/{packet,flow}/k=20`

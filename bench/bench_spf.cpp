@@ -1,9 +1,10 @@
 /// Control-plane fast-path benchmark: single-link-failure reconvergence
 /// SPF, full Dijkstra (compute_spf) vs the incremental SpfSolver, at
-/// k = 8/16/20 fat trees (k = 20 — 500 switches — is the largest radix
-/// the 256-ToR address plan admits), plus the FIB install delta each
-/// recompute produces. Emits BENCH_spf.json (see bench_util.hpp); the committed
-/// Release baseline lives in bench/baselines/.
+/// k = 8/16/20/32 fat trees, plus the FIB install delta each recompute
+/// produces, and the wall clock of one CentralController::converge() —
+/// a compute_spf per switch plus its FIB install — at k = 16 and 32.
+/// Emits BENCH_spf.json (see bench_util.hpp); the committed Release
+/// baseline lives in bench/baselines/.
 ///
 /// The scenario is the paper's common case: a remote ToR uplink in
 /// another pod fails and recovers while the computing router — an
@@ -91,11 +92,7 @@ CaseResult run_case(int ports, int iterations) {
 
   net::L3Switch* self_sw = topo.aggs.front();
   const net::Ipv4Addr self = self_sw->router_id();
-  std::vector<routing::LocalAdjacency> adjacency;
-  for (net::PortId p = 0; p < self_sw->port_count(); ++p) {
-    const auto& info = self_sw->port(p);
-    if (info.peer_is_switch) adjacency.push_back({p, info.peer_addr});
-  }
+  const auto adjacency = routing::live_adjacency(*self_sw);
 
   // The failing link: the last pod's last ToR and its first uplink —
   // maximally remote from the computing aggregation switch in pod 0.
@@ -182,13 +179,35 @@ CaseResult run_case(int ports, int iterations) {
   return out;
 }
 
+/// Median wall clock (ms) of one initial CentralController::converge() on
+/// a freshly built k-port fat tree with one host per ToR (hosts carry no
+/// routing state); `reps` fresh fabrics.
+double central_converge_ms(int ports, int reps) {
+  core::TestbedConfig config;
+  config.control_plane = core::ControlPlane::kCentral;
+  std::vector<double> samples;
+  for (int i = 0; i < reps; ++i) {
+    core::Testbed bed(
+        [ports](net::Network& n) {
+          return topo::build_fat_tree(
+              n, topo::FatTreeOptions{.ports = ports, .hosts_per_tor = 1});
+        },
+        config);
+    const auto t0 = Clock::now();
+    bed.controller().converge();
+    samples.push_back(ns_between(t0, Clock::now()) / 1e6);
+  }
+  std::sort(samples.begin(), samples.end());
+  return samples[samples.size() / 2];
+}
+
 }  // namespace
 
 int main() {
   const struct {
     int ports;
     int iterations;
-  } cases[] = {{8, 200}, {16, 50}, {20, 20}};
+  } cases[] = {{8, 200}, {16, 50}, {20, 20}, {32, 10}};
 
   std::vector<bench::BenchResult> results;
   bool ok = true;
@@ -219,6 +238,15 @@ int main() {
                        static_cast<double>(r.delta_up), "entries"});
     results.push_back({"SpfRoutes" + k, "size",
                        static_cast<double>(r.routes), "routes"});
+  }
+
+  std::cout << "one CentralController::converge(), fat tree\n"
+            << "  k   converge ms\n";
+  for (const auto& [ports, reps] : {std::pair{16, 5}, std::pair{32, 3}}) {
+    const double ms = central_converge_ms(ports, reps);
+    std::cout << "  " << ports << "  " << ms << "\n";
+    results.push_back({"CentralConverge/" + std::to_string(ports),
+                       "real_time", ms, "ms"});
   }
 
   if (!ok) {

@@ -23,44 +23,35 @@ LsaPtr CentralController::view_of(const Managed& m) const {
   auto lsa = std::make_shared<Lsa>();
   lsa->origin = m.sw->router_id();
   lsa->sequence = view_version_;
-  for (net::PortId p = 0; p < m.sw->port_count(); ++p) {
-    const auto& info = m.sw->port(p);
-    if (!info.peer_is_switch || !m.sw->port_detected_up(p)) continue;
-    const LsaLink link{info.peer_addr, 1};
-    if (std::find(lsa->links.begin(), lsa->links.end(), link) ==
-        lsa->links.end()) {
-      lsa->links.push_back(link);
-    }
-  }
+  lsa->links = live_links(*m.sw);
   lsa->prefixes = m.prefixes;
   return lsa;
 }
 
-Lsdb CentralController::build_view() const {
+Lsdb CentralController::next_view() {
   // The controller's view is the union of the switches' *detected* local
   // states — exactly the information failure reports carry.
+  ++view_version_;
   Lsdb view;
   for (const Managed& m : switches_) view.consider(view_of(m));
   return view;
 }
 
+std::vector<Route> CentralController::routes_for(const Lsdb& view,
+                                                 const Managed& m) const {
+  auto routes = compute_spf(view, m.sw->router_id(), live_adjacency(*m.sw));
+  // A switch never learns a route to a prefix it originates itself.
+  std::erase_if(routes, [&](const Route& r) {
+    return std::find(m.prefixes.begin(), m.prefixes.end(), r.prefix) !=
+           m.prefixes.end();
+  });
+  return routes;
+}
+
 void CentralController::converge() {
-  ++view_version_;
-  const Lsdb view = build_view();
+  const Lsdb view = next_view();
   for (const Managed& m : switches_) {
-    std::vector<LocalAdjacency> adjacency;
-    for (net::PortId p = 0; p < m.sw->port_count(); ++p) {
-      const auto& info = m.sw->port(p);
-      if (info.peer_is_switch && m.sw->port_detected_up(p)) {
-        adjacency.push_back(LocalAdjacency{p, info.peer_addr});
-      }
-    }
-    auto routes = compute_spf(view, m.sw->router_id(), adjacency);
-    std::erase_if(routes, [&](const Route& r) {
-      return std::find(m.prefixes.begin(), m.prefixes.end(), r.prefix) !=
-             m.prefixes.end();
-    });
-    m.sw->fib().apply_source_delta(RouteSource::kOspf, std::move(routes));
+    m.sw->fib().apply_source_delta(RouteSource::kOspf, routes_for(view, m));
   }
   ++counters_.computations;
 }
@@ -77,21 +68,8 @@ void CentralController::on_report(net::L3Switch& /*sw*/) {
 
 void CentralController::recompute_and_push() {
   ++counters_.computations;
-  ++view_version_;
-  const Lsdb view = build_view();
+  const Lsdb view = next_view();
   for (const Managed& m : switches_) {
-    std::vector<LocalAdjacency> adjacency;
-    for (net::PortId p = 0; p < m.sw->port_count(); ++p) {
-      const auto& info = m.sw->port(p);
-      if (info.peer_is_switch && m.sw->port_detected_up(p)) {
-        adjacency.push_back(LocalAdjacency{p, info.peer_addr});
-      }
-    }
-    auto routes = compute_spf(view, m.sw->router_id(), adjacency);
-    std::erase_if(routes, [&](const Route& r) {
-      return std::find(m.prefixes.begin(), m.prefixes.end(), r.prefix) !=
-             m.prefixes.end();
-    });
     net::L3Switch* sw = m.sw;
     // The push (and its hook) still happens even when the delta turns out
     // empty — the controller does not know that before the switch applies
@@ -99,7 +77,7 @@ void CentralController::recompute_and_push() {
     // only the redundant FIB writes disappear.
     ++counters_.fib_pushes;
     sim_->after(config_.push_delay + config_.fib_update_delay,
-                [this, sw, routes = std::move(routes)]() mutable {
+                [this, sw, routes = routes_for(view, m)]() mutable {
                   sw->fib().apply_source_delta(RouteSource::kOspf,
                                                std::move(routes));
                   if (push_hook_) push_hook_(*sw);

@@ -64,8 +64,12 @@ class CentralController {
 
   void on_report(net::L3Switch& sw);
   void recompute_and_push();
-  Lsdb build_view() const;
+  /// Bumps the view version and builds the global view from it.
+  Lsdb next_view();
   LsaPtr view_of(const Managed& m) const;
+  /// One switch's routes in `view`: SPF from its live adjacency, minus
+  /// the prefixes it originates. Shared by converge and every recompute.
+  std::vector<Route> routes_for(const Lsdb& view, const Managed& m) const;
 
   CentralConfig config_;
   std::vector<Managed> switches_;

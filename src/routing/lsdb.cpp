@@ -7,17 +7,12 @@ namespace f2t::routing {
 bool Lsdb::consider(LsaPtr lsa) {
   if (!lsa) throw std::invalid_argument("Lsdb::consider: null LSA");
   auto [it, inserted] = by_origin_.try_emplace(lsa->origin, lsa);
-  if (inserted) {
-    graph_.apply(it->second, nullptr);
-    return true;
-  }
-  if (lsa->sequence > it->second->sequence) {
-    const LsaPtr previous = std::move(it->second);
+  if (!inserted) {
+    if (lsa->sequence <= it->second->sequence) return false;
     it->second = std::move(lsa);
-    graph_.apply(it->second, previous.get());
-    return true;
   }
-  return false;
+  graph_.apply(it->second);
+  return true;
 }
 
 const Lsa* Lsdb::find(net::Ipv4Addr origin) const {

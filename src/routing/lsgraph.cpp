@@ -5,14 +5,17 @@
 namespace f2t::routing {
 
 void SpfArrays::ensure(std::size_t n) {
+  if (hops.size() < n * hop_words) hops.resize(n * hop_words, 0u);
   if (dist.size() >= n) return;
   dist.resize(n, kUnreached);
-  hops.resize(n);
   stamp.resize(n, 0u);
   settled.resize(n, 0u);
 }
 
-void SpfArrays::begin(std::size_t n) {
+void SpfArrays::begin(std::size_t n, std::size_t neighbors) {
+  // Every slot goes stale below, so changing the set width (a router with
+  // a different neighbor count reusing the scratch) needs no copy.
+  hop_words = std::max<std::size_t>(1, (neighbors + 63) / 64);
   ensure(n);
   if (++epoch == 0) {
     // Stamp wrap: a hard reset keeps `stamp[i] == epoch` unambiguous.
@@ -75,7 +78,7 @@ void LinkStateGraph::track_cost(int cost, int delta) {
   if (cost <= 0) nonpositive_entries_ += delta;
 }
 
-void LinkStateGraph::apply(const LsaPtr& lsa, const Lsa* previous) {
+void LinkStateGraph::apply(const LsaPtr& lsa) {
   const RouterIndex u = intern(lsa->origin);
 
   // Canonical adjacency of the new LSA: router-level, min cost per peer.
@@ -102,7 +105,6 @@ void LinkStateGraph::apply(const LsaPtr& lsa, const Lsa* previous) {
   }
 
   lsas_[u] = lsa;
-  (void)previous;  // the diff below runs against the live edge list
 
   std::vector<DenseEdge>& out = adj_[u];
 

@@ -1,12 +1,12 @@
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
 #include <unordered_map>
 #include <vector>
 
 #include "routing/lsa.hpp"
-#include "routing/smallvec.hpp"
 
 namespace f2t::routing {
 
@@ -57,13 +57,16 @@ struct GraphEvent {
 /// while its stamp matches the current epoch; stale slots read as
 /// "unreached, empty first hops" and are lazily reset on first write.
 struct SpfArrays {
-  /// First-hop neighbors as indices into the computing router's sorted
-  /// neighbor list (ECMP fan-out ≤ port count; fits inline).
-  using FirstHopSet = SmallVec<std::uint16_t, 8>;
   static constexpr int kUnreached = std::numeric_limits<int>::max();
 
   std::vector<int> dist;
-  std::vector<FirstHopSet> hops;
+  /// First-hop sets. Node i's set is a bitset over the computing router's
+  /// sorted neighbor list (bit j = neighbor j): the `hop_words` words
+  /// starting at hops[i · hop_words], more than one only above 64
+  /// neighbors. A union is a word OR, and ascending bit order is the
+  /// ascending neighbor order routes list their next hops in.
+  std::vector<std::uint64_t> hops;
+  std::size_t hop_words = 1;
   std::vector<std::uint32_t> stamp;    ///< dist/hops live iff == epoch
   std::vector<std::uint32_t> settled;  ///< node settled iff == epoch
   std::uint32_t epoch = 0;
@@ -83,8 +86,9 @@ struct SpfArrays {
   };
   std::vector<HeapItem> heap;
 
-  /// Grows the arrays to `n` nodes and starts a new run epoch.
-  void begin(std::size_t n);
+  /// Grows the arrays to `n` nodes, sizes first-hop sets for `neighbors`
+  /// bits and starts a new run epoch.
+  void begin(std::size_t n, std::size_t neighbors);
   /// Grows the arrays without invalidating live state (incremental SPF
   /// keeps its tree across runs while new routers appear).
   void ensure(std::size_t n);
@@ -97,21 +101,48 @@ struct SpfArrays {
   }
   bool is_settled(RouterIndex i) const { return settled[i] == epoch; }
   void settle(RouterIndex i) { settled[i] = epoch; }
-  void unsettle(RouterIndex i) { settled[i] = epoch - 1; }
 
-  /// Makes slot `i` live (lazily clearing stale contents) and returns it.
-  FirstHopSet& touch(RouterIndex i) {
+  /// Makes slot `i` live, lazily clearing stale contents.
+  void touch(RouterIndex i) {
     if (stamp[i] != epoch) {
       stamp[i] = epoch;
       dist[i] = kUnreached;
-      hops[i].clear();
+      clear_hops(i);
     }
-    return hops[i];
   }
   void set_unreached(RouterIndex i) {
     touch(i);
     dist[i] = kUnreached;
-    hops[i].clear();
+    clear_hops(i);
+  }
+
+  const std::uint64_t* hops_of(RouterIndex i) const {
+    return hops.data() + std::size_t{i} * hop_words;
+  }
+  std::uint64_t* hops_of(RouterIndex i) {
+    return hops.data() + std::size_t{i} * hop_words;
+  }
+  void clear_hops(RouterIndex i) {
+    std::fill_n(hops_of(i), hop_words, std::uint64_t{0});
+  }
+  void add_hop(RouterIndex i, std::size_t neighbor) {
+    hops_of(i)[neighbor / 64] |= std::uint64_t{1} << (neighbor % 64);
+  }
+  void copy_hops(RouterIndex to, RouterIndex from) {
+    std::uint64_t* dst = hops_of(to);
+    const std::uint64_t* src = hops_of(from);
+    for (std::size_t w = 0; w < hop_words; ++w) dst[w] = src[w];
+  }
+  /// ORs `from`'s set into `into`'s; true when `into` gained a member.
+  bool unite_hops(RouterIndex into, RouterIndex from) {
+    std::uint64_t* dst = hops_of(into);
+    const std::uint64_t* src = hops_of(from);
+    std::uint64_t gained = 0;
+    for (std::size_t w = 0; w < hop_words; ++w) {
+      gained |= src[w] & ~dst[w];
+      dst[w] |= src[w];
+    }
+    return gained != 0;
   }
 };
 
@@ -157,9 +188,9 @@ class LinkStateGraph {
   /// degenerate databases force the full path.
   bool has_nonpositive_cost() const { return nonpositive_entries_ > 0; }
 
-  /// Patches the graph for an accepted LSA. `previous` is the LSA it
-  /// replaced (null on first sight of the origin).
-  void apply(const LsaPtr& lsa, const Lsa* previous);
+  /// Patches the graph for an accepted LSA, diffing it against the
+  /// origin's live edge list.
+  void apply(const LsaPtr& lsa);
 
   /// Directed edge from→to, or null. Degree-bounded linear scan.
   const DenseEdge* find_edge(RouterIndex from, RouterIndex to) const;

@@ -37,16 +37,7 @@ LsaPtr Ospf::make_self_lsa() {
   auto lsa = std::make_shared<Lsa>();
   lsa->origin = sw_.router_id();
   lsa->sequence = ++self_sequence_;
-  for (net::PortId p = 0; p < sw_.port_count(); ++p) {
-    const auto& info = sw_.port(p);
-    if (!info.peer_is_switch || !sw_.port_detected_up(p)) continue;
-    // Adjacencies are router-level: deduplicate parallel links.
-    const LsaLink link{info.peer_addr, 1};
-    if (std::find(lsa->links.begin(), lsa->links.end(), link) ==
-        lsa->links.end()) {
-      lsa->links.push_back(link);
-    }
-  }
+  lsa->links = live_links(sw_);
   lsa->prefixes = redistributed_;
   ++counters_.lsas_originated;
   if (obs_hook_) obs_hook_(ObsEvent::kLsaOriginated);
@@ -60,7 +51,7 @@ void Ospf::warm_start(const std::vector<LsaPtr>& all_lsas) {
 }
 
 std::vector<Route> Ospf::compute_routes() {
-  auto routes = solver_.run(lsdb_, sw_.router_id(), live_adjacency());
+  auto routes = solver_.run(lsdb_, sw_.router_id(), live_adjacency(sw_));
   if (solver_.last_run_incremental()) ++counters_.spf_incremental_runs;
   // Do not learn a route to a prefix we redistribute ourselves.
   std::erase_if(routes, [this](const Route& r) {
@@ -91,17 +82,6 @@ void Ospf::run_spf_now() {
                                              : ObsEvent::kSpfRun);
   }
   install_routes(std::move(routes));
-}
-
-std::vector<LocalAdjacency> Ospf::live_adjacency() const {
-  std::vector<LocalAdjacency> adjacency;
-  for (net::PortId p = 0; p < sw_.port_count(); ++p) {
-    const auto& info = sw_.port(p);
-    if (info.peer_is_switch && sw_.port_detected_up(p)) {
-      adjacency.push_back(LocalAdjacency{p, info.peer_addr});
-    }
-  }
-  return adjacency;
 }
 
 void Ospf::on_port_state(net::PortId /*port*/, bool /*up*/) {

@@ -113,7 +113,6 @@ class Ospf {
   void flood(const LsaPtr& lsa, net::PortId except_port);
   void schedule_spf();
   void run_spf_and_schedule_install();
-  std::vector<LocalAdjacency> live_adjacency() const;
 
   /// Runs the solver and drops redistributed prefixes from the result.
   std::vector<Route> compute_routes();

@@ -1,34 +1,19 @@
 #include "routing/spf.hpp"
 
 #include <algorithm>
+#include <bit>
 
+#include "net/l3switch.hpp"
 #include "routing/smallvec.hpp"
 
 namespace f2t::routing {
 
 namespace {
 
-using FirstHopSet = SpfArrays::FirstHopSet;
-
-void insert_first_hop(FirstHopSet& set, std::uint16_t index) {
-  const auto it = std::lower_bound(set.begin(), set.end(), index);
-  if (it != set.end() && *it == index) return;
-  const auto pos = static_cast<std::size_t>(it - set.begin());
-  set.push_back(index);
-  std::rotate(set.begin() + pos, set.end() - 1, set.end());
-}
-
-/// Returns true when `into` gained at least one element.
-bool union_first_hops(FirstHopSet& into, const FirstHopSet& from) {
-  const std::size_t before = into.size();
-  for (const std::uint16_t index : from) insert_first_hop(into, index);
-  return into.size() != before;
-}
-
 /// The computing router's own attachment points, pre-sorted: neighbor
 /// addresses ascending with the local ports reaching each one. First-hop
-/// sets store indices into `neighbors`, so emission order matches the
-/// former std::set<Ipv4Addr> iteration exactly.
+/// sets are bitsets over indices into `neighbors`, so emission in bit
+/// order matches the former std::set<Ipv4Addr> iteration exactly.
 struct SelfView {
   std::vector<net::Ipv4Addr> neighbors;
   std::vector<SmallVec<net::PortId, 4>> ports;  // parallel to neighbors
@@ -76,9 +61,17 @@ SpfArrays::HeapItem heap_pop(SpfArrays& a) {
 /// mirror OSPF: from `self`, trust only live local adjacencies (the
 /// SelfView gate) with costs from self's own LSA; from anyone else,
 /// require the precomputed two-way flag.
+///
+/// A node enters the heap only when its distance strictly improves; an
+/// equal-cost relaxation just unions first hops into the node's set. A
+/// pushed tie would carry the (dist, address) key of an entry already
+/// queued and pop as a no-op after it, so settle order and first-hop
+/// sets are the same as with one push per relaxation, while the heap
+/// holds one entry per distance improvement instead of one per ECMP
+/// parent.
 void dijkstra_full(const LinkStateGraph& g, RouterIndex self,
                    const SelfView& view, SpfArrays& a) {
-  a.begin(g.node_count());
+  a.begin(g.node_count(), view.neighbors.size());
   a.touch(self);
   a.dist[self] = 0;
   heap_push(a, 0, g.router_of(self).value(), self);
@@ -98,18 +91,18 @@ void dijkstra_full(const LinkStateGraph& g, RouterIndex self,
         continue;
       }
       const int nd = du + e.cost;
-      FirstHopSet& hv = a.touch(v);
+      a.touch(v);
       if (nd < a.dist[v]) {
         a.dist[v] = nd;
-        hv.clear();
-      }
-      if (nd == a.dist[v]) {
-        if (u == self) {
-          insert_first_hop(hv, static_cast<std::uint16_t>(hop_index));
-        } else {
-          union_first_hops(hv, a.hops[u]);
-        }
+        a.clear_hops(v);
         heap_push(a, nd, g.router_of(v).value(), v);
+      } else if (nd != a.dist[v]) {
+        continue;
+      }
+      if (u == self) {
+        a.add_hop(v, static_cast<std::size_t>(hop_index));
+      } else {
+        a.unite_hops(v, u);
       }
     }
   }
@@ -118,28 +111,41 @@ void dijkstra_full(const LinkStateGraph& g, RouterIndex self,
 /// Emits routes from the tree in `a`: one route per (reachable
 /// destination, redistributed prefix), with the first-hop indices mapped
 /// back to local ports. Always a full O(nodes) pass — which is what lets
-/// prefix-only LSA churn reuse the cached tree untouched.
+/// prefix-only LSA churn reuse the cached tree untouched. Each route's
+/// next-hop vector is allocated once at its final size, however wide the
+/// ECMP group.
 std::vector<Route> emit_routes(const LinkStateGraph& g, RouterIndex self,
                                const SelfView& view, const SpfArrays& a) {
+  const auto for_each_hop = [&](RouterIndex i, auto&& visit) {
+    const std::uint64_t* set = a.hops_of(i);
+    for (std::size_t w = 0; w < a.hop_words; ++w) {
+      for (std::uint64_t bits = set[w]; bits != 0; bits &= bits - 1) {
+        visit(w * 64 + static_cast<std::size_t>(std::countr_zero(bits)));
+      }
+    }
+  };
   std::vector<Route> routes;
   const std::size_t n = g.node_count();
   for (RouterIndex i = 0; i < n; ++i) {
     if (i == self || !a.reached(i)) continue;
-    const FirstHopSet& hv = a.hops[i];
-    if (hv.empty()) continue;
     const Lsa* lsa = g.lsa_of(i);
     if (lsa == nullptr || lsa->prefixes.empty()) continue;
+    std::size_t count = 0;
+    for_each_hop(i, [&](std::size_t hop) { count += view.ports[hop].size(); });
+    if (count == 0) continue;
     std::vector<NextHop> next_hops;
-    for (const std::uint16_t hop_index : hv) {
-      const net::Ipv4Addr hop = view.neighbors[hop_index];
-      for (const net::PortId port : view.ports[hop_index]) {
-        next_hops.push_back(NextHop{port, hop});
+    next_hops.reserve(count);
+    for_each_hop(i, [&](std::size_t hop) {
+      for (const net::PortId port : view.ports[hop]) {
+        next_hops.push_back(NextHop{port, view.neighbors[hop]});
       }
+    });
+    // Every prefix but the last copies the group; the last takes it.
+    for (std::size_t p = 0; p + 1 < lsa->prefixes.size(); ++p) {
+      routes.push_back(Route{lsa->prefixes[p], next_hops, RouteSource::kOspf});
     }
-    if (next_hops.empty()) continue;
-    for (const net::Prefix& prefix : lsa->prefixes) {
-      routes.push_back(Route{prefix, next_hops, RouteSource::kOspf});
-    }
+    routes.push_back(
+        Route{lsa->prefixes.back(), std::move(next_hops), RouteSource::kOspf});
   }
   return routes;
 }
@@ -155,6 +161,28 @@ void begin_marks(std::vector<std::uint32_t>& marks, std::uint32_t& epoch,
 }
 
 }  // namespace
+
+std::vector<LocalAdjacency> live_adjacency(const net::L3Switch& sw) {
+  std::vector<LocalAdjacency> adjacency;
+  for (net::PortId p = 0; p < sw.port_count(); ++p) {
+    const auto& info = sw.port(p);
+    if (info.peer_is_switch && sw.port_detected_up(p)) {
+      adjacency.push_back(LocalAdjacency{p, info.peer_addr});
+    }
+  }
+  return adjacency;
+}
+
+std::vector<LsaLink> live_links(const net::L3Switch& sw) {
+  std::vector<LsaLink> links;
+  for (const LocalAdjacency& adj : live_adjacency(sw)) {
+    const LsaLink link{adj.neighbor, 1};
+    if (std::find(links.begin(), links.end(), link) == links.end()) {
+      links.push_back(link);
+    }
+  }
+  return links;
+}
 
 std::vector<Route> compute_spf(const Lsdb& lsdb, net::Ipv4Addr self,
                                const std::vector<LocalAdjacency>& adjacency) {
@@ -176,7 +204,7 @@ bool lsdb_reachable(const Lsdb& lsdb, net::Ipv4Addr from, net::Ipv4Addr to) {
   // BFS over the precomputed two-way edge set, using the shared scratch's
   // settled stamps as the visited set and its heap storage as the stack.
   SpfArrays& a = g.scratch();
-  a.begin(g.node_count());
+  a.begin(g.node_count(), 0);
   a.settle(src);
   a.heap.push_back(SpfArrays::HeapItem{0, 0, src});
   while (!a.heap.empty()) {
@@ -258,7 +286,6 @@ void repair_link_down(const LinkStateGraph& g, RouterIndex self,
   for (const RouterIndex b : affected) a.set_unreached(b);
   for (const RouterIndex b : affected) {
     int best = SpfArrays::kUnreached;
-    FirstHopSet& hb = a.hops[b];
     // `self` as boundary parent: its edge to b is usable iff self's LSA
     // lists b AND a live local port reaches b. Not discoverable from b's
     // own edge list (b may not advertise self back), hence the probe.
@@ -266,7 +293,7 @@ void repair_link_down(const LinkStateGraph& g, RouterIndex self,
     if (const int ni = view.index_of(baddr); ni >= 0) {
       if (const DenseEdge* se = g.find_edge(self, b)) {
         best = se->cost;
-        insert_first_hop(hb, static_cast<std::uint16_t>(ni));
+        a.add_hop(b, static_cast<std::size_t>(ni));
       }
     }
     for (const DenseEdge& e : g.edges(b)) {
@@ -278,9 +305,9 @@ void repair_link_down(const LinkStateGraph& g, RouterIndex self,
       const int cand = dy + e.rev_cost;  // cost of the y→b direction
       if (cand < best) {
         best = cand;
-        hb = a.hops[y];
+        a.copy_hops(b, y);
       } else if (cand == best) {
-        union_first_hops(hb, a.hops[y]);
+        a.unite_hops(b, y);
       }
     }
     if (best != SpfArrays::kUnreached) {
@@ -303,10 +330,10 @@ void repair_link_down(const LinkStateGraph& g, RouterIndex self,
       const int nd = duu + e.cost;
       if (nd < a.dist[v]) {
         a.dist[v] = nd;
-        a.hops[v] = a.hops[u];
+        a.copy_hops(v, u);
         heap_push(a, nd, g.router_of(v).value(), v);
       } else if (nd == a.dist[v]) {
-        union_first_hops(a.hops[v], a.hops[u]);
+        a.unite_hops(v, u);
       }
     }
   }
@@ -343,15 +370,13 @@ void repair_link_up(const LinkStateGraph& g, RouterIndex self, SpfArrays& a,
       const RouterIndex v = e.to;
       if (v == self) continue;
       const int nd = du + e.cost;
-      FirstHopSet& hv = a.touch(v);
+      a.touch(v);
       if (nd < a.dist[v]) {
         a.dist[v] = nd;
-        hv = a.hops[u];
+        a.copy_hops(v, u);
         heap_push(a, nd, g.router_of(v).value(), v);
-      } else if (nd == a.dist[v]) {
-        if (union_first_hops(hv, a.hops[u])) {
-          heap_push(a, nd, g.router_of(v).value(), v);
-        }
+      } else if (nd == a.dist[v] && a.unite_hops(v, u)) {
+        heap_push(a, nd, g.router_of(v).value(), v);
       }
     }
   }

@@ -8,6 +8,10 @@
 #include "routing/lsgraph.hpp"
 #include "routing/route.hpp"
 
+namespace f2t::net {
+class L3Switch;
+}
+
 namespace f2t::routing {
 
 /// Inputs describing the computing router's own attachment points:
@@ -20,6 +24,15 @@ struct LocalAdjacency {
   friend bool operator==(const LocalAdjacency&, const LocalAdjacency&) =
       default;
 };
+
+/// `sw`'s detected-up ports that face another router, in port order: the
+/// adjacency its SPF may trust.
+std::vector<LocalAdjacency> live_adjacency(const net::L3Switch& sw);
+
+/// The links `sw`'s LSA advertises: one cost-1 link per distinct peer in
+/// live_adjacency(sw), in port order. Adjacencies are router-level, so
+/// parallel links collapse into one.
+std::vector<LsaLink> live_links(const net::L3Switch& sw);
 
 /// Shortest-path-first calculation (Dijkstra with ECMP).
 ///

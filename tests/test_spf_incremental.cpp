@@ -341,15 +341,20 @@ void churn(Harness& h, std::uint32_t seed, int iterations) {
   }
 }
 
-void run_property(const std::string& topo_name, int ports, std::uint32_t seed,
-                  int iterations) {
-  Harness h = make_harness(topo_name, ports);
+void run_churn(Harness& h, const std::string& label, std::uint32_t seed,
+               int iterations) {
   check_equivalence(h);  // initial full build
   if (::testing::Test::HasFatalFailure()) return;
   churn(h, seed, iterations);
   // The suite is only meaningful if both solver paths were exercised.
-  EXPECT_GT(h.incremental_runs, 0u) << topo_name;
-  EXPECT_GT(h.full_runs, 0u) << topo_name;
+  EXPECT_GT(h.incremental_runs, 0u) << label;
+  EXPECT_GT(h.full_runs, 0u) << label;
+}
+
+void run_property(const std::string& topo_name, int ports, std::uint32_t seed,
+                  int iterations) {
+  Harness h = make_harness(topo_name, ports);
+  run_churn(h, topo_name, seed, iterations);
 }
 
 TEST(SpfIncrementalProperty, FatTreeChurn) {
@@ -364,6 +369,101 @@ TEST(SpfIncrementalProperty, LeafSpineChurn) {
 
 TEST(SpfIncrementalProperty, AspenChurn) {
   run_property("aspen", 4, 0xA59Eu, 140);
+}
+
+// A computing router wider than one 64-bit first-hop word: self S has
+// kWide neighbors N_i (every tenth over two parallel ports, and ports
+// numbered against address order), middle routers M_j each reach the
+// N_i with i % kWideMid == j, and every destination D_k reaches every
+// M_j. Each D_k's route therefore fans out over all kWide neighbors,
+// built by unions that span every word of the set.
+constexpr int kWide = 100;
+constexpr int kWideMid = 4;
+constexpr int kWideDst = 3;
+
+Ipv4Addr wide_addr(int block, int i) {
+  return Ipv4Addr(10, static_cast<std::uint8_t>(block), 0,
+                  static_cast<std::uint8_t>(i));
+}
+Ipv4Addr wide_n(int i) { return wide_addr(14, i); }
+Ipv4Addr wide_m(int j) { return wide_addr(15, j); }
+Prefix wide_prefix(int k) {
+  return Prefix(Ipv4Addr(10, 11, static_cast<std::uint8_t>(k), 0), 24);
+}
+
+Harness make_wide_harness() {
+  Harness h;
+  h.self = wide_addr(13, 1);
+  const auto connect = [&](Ipv4Addr a, Ipv4Addr b) {
+    h.physical[a].insert(b);
+    h.physical[b].insert(a);
+    h.links.emplace_back(std::min(a, b), std::max(a, b));
+  };
+  net::PortId port = 0;
+  for (int i = kWide - 1; i >= 0; --i) {
+    connect(h.self, wide_n(i));
+    h.self_ports.push_back(LocalAdjacency{port++, wide_n(i)});
+    if (i % 10 == 0) {
+      h.self_ports.push_back(LocalAdjacency{port++, wide_n(i)});
+    }
+    connect(wide_n(i), wide_m(i % kWideMid));
+  }
+  for (int k = 0; k < kWideDst; ++k) {
+    const Ipv4Addr d = wide_addr(16, k);
+    for (int j = 0; j < kWideMid; ++j) connect(d, wide_m(j));
+    h.prefixes[d].push_back(wide_prefix(k));
+  }
+  for (const auto& [router, neighbors] : h.physical) {
+    h.routers.push_back(router);
+  }
+  h.advertised = h.physical;
+  h.port_up.assign(h.self_ports.size(), true);
+  for (const Ipv4Addr r : h.routers) h.emit(r);
+  return h;
+}
+
+std::size_t fan_out(const Harness& h, const Prefix& prefix) {
+  for (const Route& r : compute_spf(h.lsdb, h.self, h.live_adjacency())) {
+    if (r.prefix == prefix) return r.next_hops.size();
+  }
+  return 0;
+}
+
+TEST(SpfIncrementalProperty, FanOutBeyondOneFirstHopWord) {
+  Harness h = make_wide_harness();
+  check_equivalence(h);  // full run
+  ASSERT_FALSE(::testing::Test::HasFatalFailure());
+  EXPECT_FALSE(h.solver.last_run_incremental());
+  const std::size_t all_ports = h.self_ports.size();
+  for (int k = 0; k < kWideDst; ++k) {
+    EXPECT_EQ(fan_out(h, wide_prefix(k)), all_ports);
+  }
+
+  // Cut N_70 - M_2, one direction per LSA. It is N_70's only link onward
+  // (N_70 sits behind two parallel ports, in the set's second word), so
+  // every destination loses those next hops through the subtree repair,
+  // then regains them through the label-correcting one.
+  const Ipv4Addr n = wide_n(70);
+  const Ipv4Addr m = wide_m(70 % kWideMid);
+  const auto toggle = [&](Ipv4Addr from, Ipv4Addr to, bool up) {
+    if (up) {
+      h.advertised[from].insert(to);
+    } else {
+      h.advertised[from].erase(to);
+    }
+    h.emit(from);
+    check_equivalence(h);
+    EXPECT_TRUE(h.solver.last_run_incremental());
+  };
+  toggle(n, m, false);
+  toggle(m, n, false);
+  EXPECT_EQ(fan_out(h, wide_prefix(0)), all_ports - 2);
+  toggle(n, m, true);
+  toggle(m, n, true);
+  EXPECT_EQ(fan_out(h, wide_prefix(0)), all_ports);
+  ASSERT_FALSE(::testing::Test::HasFatalFailure());
+
+  run_churn(h, "wide", 0x64B17u, 140);
 }
 
 // ---------------------------------------------------------------------------
