@@ -14,12 +14,17 @@
 
 #include <algorithm>
 #include <array>
+#include <functional>
 #include <iostream>
+#include <memory>
+#include <queue>
 #include <set>
 #include <unordered_map>
 
 #include "bench_util.hpp"
 #include "core/f2tree.hpp"
+#include "core/runner.hpp"
+#include "exec/campaign.hpp"
 #include "routing/ecmp.hpp"
 #include "routing/route_cache.hpp"
 #include "sim/event_queue.hpp"
@@ -383,14 +388,25 @@ void BM_SchedulerCancelChurn(benchmark::State& state) {
 }
 BENCHMARK(BM_SchedulerCancelChurn);
 
-// Raw key-queue schedule/pop, calendar vs the retired binary heap, under
-// the hold model (pop one, push one at a later time) that dominates a
-// discrete-event run. The heap stays compiled as the honest baseline,
-// and the comparison is honest in both directions: the flat heap's
-// cache locality wins at small populations (~1.3x at 16k keys), the
-// calendar's O(1) hold wins once the heap's log-depth outgrows the
-// cache (crossover between 16k and 262k on this box) — the event
-// populations the widened address plan's big fabrics generate.
+// Raw key-queue schedule/pop, calendar vs a binary heap (the queue the
+// calendar replaced), under the hold model (pop one, push one at a later
+// time) that dominates a discrete-event run. The comparison is honest in
+// both directions: the flat heap's cache locality wins at small
+// populations (~1.3x at 16k keys), the calendar's O(1) hold wins once
+// the heap's log-depth outgrows the cache (crossover between 16k and
+// 262k on this box) — the event populations the widened address plan's
+// big fabrics generate.
+using BinaryHeapKeys =
+    std::priority_queue<sim::EventKey, std::vector<sim::EventKey>,
+                        std::greater<>>;
+
+sim::EventKey pop_min(sim::CalendarQueue& q) { return q.pop(); }
+sim::EventKey pop_min(BinaryHeapKeys& q) {
+  const sim::EventKey k = q.top();
+  q.pop();
+  return k;
+}
+
 template <typename Queue>
 void key_queue_hold(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
@@ -406,7 +422,7 @@ void key_queue_hold(benchmark::State& state) {
               id++});
     }
     for (int i = 0; i < 4 * n; ++i) {
-      const sim::EventKey k = q.pop();
+      const sim::EventKey k = pop_min(q);
       salt ^= salt << 13; salt ^= salt >> 7; salt ^= salt << 17;
       q.push({k.at + 1000 + static_cast<sim::Time>(salt % 997), id++});
     }
@@ -415,7 +431,7 @@ void key_queue_hold(benchmark::State& state) {
 }
 
 void BM_BinaryHeapQueueHold(benchmark::State& state) {
-  key_queue_hold<sim::BinaryHeapQueue>(state);
+  key_queue_hold<BinaryHeapKeys>(state);
 }
 BENCHMARK(BM_BinaryHeapQueueHold)->Arg(1024)->Arg(16384)->Arg(262144);
 
@@ -434,9 +450,11 @@ void BM_BuildTopology(benchmark::State& state) {
 }
 BENCHMARK(BM_BuildTopology)->Arg(8)->Arg(16);
 
-void BM_EndToEndUdpSecond(benchmark::State& state) {
-  // One simulated second of the paper's CBR probe through an 8-port
-  // F²Tree: the unit of work behind every recovery experiment.
+/// One simulated second of the paper's CBR probe through an 8-port
+/// F²Tree, optionally under a TCP background workload: the unit of work
+/// behind every recovery experiment.
+void end_to_end_second(benchmark::State& state,
+                       const transport::WorkloadOptions* workload) {
   for (auto _ : state) {
     core::Testbed bed(
         [](net::Network& n) { return topo::build_f2tree(n, 8); });
@@ -448,11 +466,39 @@ void BM_EndToEndUdpSecond(benchmark::State& state) {
     transport::UdpCbrSender sender(bed.stack_of(*topo.hosts.front()),
                                    topo.hosts.back()->addr(), so);
     sender.start();
+    std::unique_ptr<transport::TcpWorkload> tcp;
+    if (workload != nullptr) {
+      tcp = std::make_unique<transport::TcpWorkload>(
+          bed.stacks(),
+          sim::Random(sim::Random::derive_stream_seed(bed.config().seed,
+                                                      core::kWorkloadStream)),
+          *workload);
+      tcp->start();
+    }
     bed.sim().run(sim::seconds(1));
     benchmark::DoNotOptimize(sink.packets_received());
+    if (tcp != nullptr) benchmark::DoNotOptimize(tcp->completed());
   }
 }
+
+void BM_EndToEndUdpSecond(benchmark::State& state) {
+  end_to_end_second(state, nullptr);
+}
 BENCHMARK(BM_EndToEndUdpSecond)->Unit(benchmark::kMillisecond);
+
+void BM_EndToEndTcpWorkloadSecond(benchmark::State& state) {
+  // The Poisson websearch workload at load 0.01, set up the way
+  // `f2tsim recover --workload poisson --wl-load 0.01` sets it up. Nearly
+  // all of its time is event-loop work: TCP timers and two link events
+  // per hop (ROADMAP item 1's gate).
+  core::CampaignSpec::WorkloadAxis axis;
+  axis.kind = "poisson";
+  axis.load = 0.01;
+  const transport::WorkloadOptions options =
+      exec::workload_options_of(axis, sim::seconds(1));
+  end_to_end_second(state, &options);
+}
+BENCHMARK(BM_EndToEndTcpWorkloadSecond)->Unit(benchmark::kMillisecond);
 
 /// Console output as usual, plus every run captured as a BenchResult.
 class CollectingReporter : public benchmark::ConsoleReporter {

@@ -111,15 +111,19 @@ void Link::start_next(Channel& ch, const End& to) {
   const double bits = static_cast<double>(next->size_bytes) * 8.0;
   const sim::Time tx = sim::from_seconds(bits / params_.bandwidth_bps);
   const std::uint64_t epoch = ch.epoch;
-  Packet packet = std::move(*next);
-  sim_.after(tx, [this, &ch, to, packet = std::move(packet), epoch]() mutable {
+  // Both hop events carry the packet by value. They must fit the
+  // scheduler's inline action storage, or every hop allocates twice.
+  auto serialized = [this, &ch, to, packet = std::move(*next),
+                     epoch]() mutable {
     // Serialization finished: free the line, launch propagation.
     if (epoch == ch.epoch) {
-      const sim::Time prop = params_.propagation_delay;
-      sim_.after(prop, [this, &ch, to, packet = std::move(packet),
-                        epoch]() mutable {
+      auto propagated = [this, &ch, to, packet = std::move(packet),
+                         epoch]() mutable {
         deliver(ch, to, std::move(packet), epoch);
-      });
+      };
+      static_assert(sim::Scheduler::stores_inline<decltype(propagated)>,
+                    "Link propagation event outgrew the inline action size");
+      sim_.after(params_.propagation_delay, std::move(propagated));
       ch.busy = false;
       start_next(ch, to);
     } else {
@@ -129,7 +133,10 @@ void Link::start_next(Channel& ch, const End& to) {
       ++ch.dropped_wire;
       if (drop_hook_) drop_hook_(packet, DropKind::kDown);
     }
-  });
+  };
+  static_assert(sim::Scheduler::stores_inline<decltype(serialized)>,
+                "Link serialization event outgrew the inline action size");
+  sim_.after(tx, std::move(serialized));
 }
 
 void Link::set_loss_rate(Direction direction, double rate,

@@ -27,8 +27,7 @@ struct CalendarStats {
 /// Ordering key of a scheduled event. Min-ordering is (at, id): earliest
 /// time first, then earliest id — FIFO among same-timestamp events, which
 /// is what keeps two runs with the same inputs executing events in the
-/// same order. Both queue implementations below order by exactly this
-/// key, so they are interchangeable without affecting determinism.
+/// same order.
 struct EventKey {
   Time at = 0;
   EventId id = kInvalidEventId;
@@ -43,26 +42,6 @@ struct EventKey {
   friend bool operator>(const EventKey& a, const EventKey& b) { return b < a; }
 };
 
-/// The scheduler's original binary min-heap key queue. Retained verbatim
-/// so the calendar queue can be differential-tested against it and so
-/// bench_micro keeps an honest schedule/pop baseline to compare against.
-class BinaryHeapQueue {
- public:
-  void push(EventKey key);
-
-  /// The minimum key, or nullptr when empty.
-  const EventKey* peek() const { return heap_.empty() ? nullptr : &heap_[0]; }
-
-  /// Removes and returns the minimum key. Precondition: !empty().
-  EventKey pop();
-
-  bool empty() const { return heap_.empty(); }
-  std::size_t size() const { return heap_.size(); }
-
- private:
-  std::vector<EventKey> heap_;  // min-heap via std::*_heap with greater
-};
-
 /// Calendar (bucket) event queue: O(1) amortized push/pop under the
 /// event-density regimes a discrete-event network simulation produces.
 ///
@@ -73,7 +52,7 @@ class BinaryHeapQueue {
 /// is over a year away) falls back to a direct scan over bucket fronts and
 /// jumps the cursor there. Each bucket is itself a small binary min-heap
 /// over (at, id), so adversarial distributions that pile every event into
-/// one bucket degrade to exactly the old heap's O(log n) — never worse.
+/// one bucket degrade to a single binary heap's O(log n) — never worse.
 ///
 /// Pop order is strictly (at, id)-minimal regardless of bucket geometry:
 /// the geometry (shift/bucket count, chosen at deterministic resize

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <utility>
 
 #include "sim/logging.hpp"
 #include "sim/random.hpp"
@@ -26,11 +27,13 @@ class Simulator {
 
   Time now() const { return scheduler_.now(); }
 
-  EventId at(Time when, std::function<void()> action) {
-    return scheduler_.schedule_at(when, std::move(action));
+  template <typename F>
+  EventId at(Time when, F&& action) {
+    return scheduler_.schedule_at(when, std::forward<F>(action));
   }
-  EventId after(Time delay, std::function<void()> action) {
-    return scheduler_.schedule_after(delay, std::move(action));
+  template <typename F>
+  EventId after(Time delay, F&& action) {
+    return scheduler_.schedule_after(delay, std::forward<F>(action));
   }
   void cancel(EventId id) { scheduler_.cancel(id); }
 

@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <array>
+#include <functional>
+#include <memory>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "sim/random.hpp"
@@ -8,6 +13,15 @@
 
 namespace f2t::sim {
 namespace {
+
+/// Counts its live copies through a shared counter.
+struct LiveCounter {
+  explicit LiveCounter(int& count) : live(&count) { ++*live; }
+  LiveCounter(const LiveCounter& other) : live(other.live) { ++*live; }
+  LiveCounter& operator=(const LiveCounter&) = delete;
+  ~LiveCounter() { --*live; }
+  int* live;
+};
 
 TEST(Time, Constructors) {
   EXPECT_EQ(micros(1), 1000);
@@ -151,6 +165,97 @@ TEST(Scheduler, RejectsPastAndEmptyActions) {
   s.run();
   EXPECT_THROW(s.schedule_at(5, [] {}), std::invalid_argument);
   EXPECT_THROW(s.schedule_at(20, nullptr), std::invalid_argument);
+  EXPECT_THROW(s.schedule_at(20, std::function<void()>()),
+               std::invalid_argument);
+  EXPECT_FALSE(s.has_pending());
+}
+
+// Ids are checked against the full id their slot stores, not a short
+// generation counter: 300 reuses of one slot (past an 8-bit counter's
+// wrap at 256) never let the first tenant's id cancel the current one.
+TEST(Scheduler, StaleIdNeverCancelsTheSlotsNextEvent) {
+  Scheduler s;
+  int fired = 0;
+  const EventId stale = s.schedule_at(0, [] {});
+  ASSERT_TRUE(s.step());
+  for (int reuse = 1; reuse <= 300; ++reuse) {
+    const EventId id = s.schedule_at(s.now() + 1, [&] { ++fired; });
+    ASSERT_EQ(event_slot(id), event_slot(stale)) << "reuse " << reuse;
+    s.cancel(stale);
+    ASSERT_TRUE(s.is_pending(id)) << "stale id cancelled reuse " << reuse;
+    ASSERT_TRUE(s.step());
+  }
+  EXPECT_EQ(fired, 300);
+}
+
+TEST(Scheduler, ThrowingActionReleasesItsSlot) {
+  Scheduler s;
+  int fired = 0;
+  auto token = std::make_shared<int>(0);
+  const EventId thrower =
+      s.schedule_at(10, [token] { throw std::runtime_error("boom"); });
+  s.schedule_at(20, [&] { ++fired; });
+  EXPECT_THROW(s.run(), std::runtime_error);
+  EXPECT_EQ(s.now(), 10);
+  EXPECT_EQ(token.use_count(), 1) << "thrown-out action not destroyed";
+  EXPECT_FALSE(s.is_pending(thrower));
+  EXPECT_TRUE(s.has_pending());
+  EXPECT_EQ(s.cancelled_backlog(), 0u);
+  // The slot is free again: the next event takes it.
+  const EventId next = s.schedule_at(30, [&] { ++fired; });
+  EXPECT_EQ(event_slot(next), event_slot(thrower));
+  EXPECT_EQ(s.run(), 2u);
+  EXPECT_EQ(fired, 2);
+  EXPECT_FALSE(s.has_pending());
+}
+
+// An action runs in its slot. Scheduling enough events to add storage
+// chunks while it runs must not move it (ASan reports the stale read
+// of the captures if it does).
+TEST(Scheduler, ActionSchedulingManyChunksRunsInPlace) {
+  Scheduler s;
+  const std::size_t n = 2 * Scheduler::kSlotsPerChunk + 1;
+  std::size_t fired = 0;
+  std::string seen;
+  s.schedule_at(1, [&s, &fired, &seen, n, tag = std::string(64, 'x')] {
+    for (std::size_t i = 0; i < n; ++i) {
+      s.schedule_at(2, [&fired] { ++fired; });
+    }
+    seen = tag;
+  });
+  EXPECT_EQ(s.run(), n + 1);
+  EXPECT_EQ(fired, n);
+  EXPECT_EQ(seen, std::string(64, 'x'));
+}
+
+TEST(Scheduler, OversizedCaptureRunsOnceAndIsDestroyedOnce) {
+  Scheduler s;
+  int live = 0;
+  int runs = 0;
+  {
+    const std::array<char, Scheduler::kInlineActionBytes> pad{};
+    auto action = [&runs, counter = LiveCounter(live), pad] {
+      runs += 1 + pad[0];
+    };
+    static_assert(!Scheduler::stores_inline<decltype(action)>);
+    s.schedule_at(1, std::move(action));
+  }
+  EXPECT_EQ(live, 1);  // only the scheduler's copy is left
+  EXPECT_EQ(s.run(), 1u);
+  EXPECT_EQ(runs, 1);
+  EXPECT_EQ(live, 0);
+}
+
+TEST(Scheduler, CancelDestroysCapturesAtOnce) {
+  Scheduler s;
+  auto token = std::make_shared<int>(0);
+  const EventId id = s.schedule_at(10, [token] {});
+  EXPECT_EQ(token.use_count(), 2);
+  s.cancel(id);
+  EXPECT_EQ(token.use_count(), 1) << "action outlived its cancel";
+  EXPECT_EQ(s.cancelled_backlog(), 1u);  // the key waits to be dropped
+  EXPECT_EQ(s.run(), 0u);
+  EXPECT_EQ(s.cancelled_backlog(), 0u);
 }
 
 TEST(Scheduler, NextEventTimeSkipsCancelled) {
