@@ -17,7 +17,8 @@
 /// unlocks. k = 64 stays under --big for its memory, not its SPFs: its
 /// 4 096 ToR and aggregation switches each hold ~2 048 routes of 32 next
 /// hops at 8 B, about 2 GB of next hops for one route set, and a
-/// recompute holds a second set in its in-flight FIB pushes.
+/// recompute's in-flight FIB pushes hold new sets for the switches whose
+/// routes it rebuilds (560 of 1 280 at k = 32 for C1).
 /// `sim_wall/*-ospf` records each sweep's simulation phase
 /// (topology build + convergence excluded, but shared OSPF event
 /// machinery included — both fidelities pay the same LSA/SPF cost, so

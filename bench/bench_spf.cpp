@@ -1,8 +1,10 @@
 /// Control-plane fast-path benchmark: single-link-failure reconvergence
 /// SPF, full Dijkstra (compute_spf) vs the incremental SpfSolver, at
 /// k = 8/16/20/32 fat trees, plus the FIB install delta each recompute
-/// produces, and the wall clock of one CentralController::converge() —
-/// a compute_spf per switch plus its FIB install — at k = 16 and 32.
+/// produces, the wall clock of one CentralController::converge() — one
+/// reverse SPF per destination, then every switch's routes and FIB
+/// install — at k = 16 and 32, and of one batched controller recompute
+/// after a ToR uplink failure at k = 32.
 /// Emits BENCH_spf.json (see bench_util.hpp); the committed Release
 /// baseline lives in bench/baselines/.
 ///
@@ -201,6 +203,43 @@ double central_converge_ms(int ports, int reps) {
   return samples[samples.size() / 2];
 }
 
+/// Median wall clock (ms) of one batched controller recompute on a
+/// converged k-port fat tree with one host per ToR: one ToR–aggregation
+/// link fails, and sim().run is timed from the failure until the last
+/// push lands; `reps` fresh fabrics. Returns a negative value when the
+/// run did not end in exactly one recompute pushed to every switch.
+double central_recompute_ms(int ports, int reps) {
+  core::TestbedConfig config;
+  config.control_plane = core::ControlPlane::kCentral;
+  std::vector<double> samples;
+  for (int i = 0; i < reps; ++i) {
+    core::Testbed bed(
+        [ports](net::Network& n) {
+          return topo::build_fat_tree(
+              n, topo::FatTreeOptions{.ports = ports, .hosts_per_tor = 1});
+        },
+        config);
+    bed.converge();
+    const auto& pod = bed.topo().pods.front();
+    net::Link* link = bed.network().find_link(*pod.tors.front(),
+                                              *pod.aggs.front());
+    if (link == nullptr) return -1;
+    // Nothing is scheduled before the failure, and the last push lands
+    // 114 ms after it (detection, report, batch, compute, push, FIB).
+    bed.injector().fail_at(*link, sim::millis(10));
+    const auto t0 = Clock::now();
+    bed.sim().run(sim::seconds(1));
+    samples.push_back(ns_between(t0, Clock::now()) / 1e6);
+    const auto& counters = bed.controller().counters();
+    if (counters.computations != 2 ||
+        counters.fib_pushes != bed.topo().all_switches().size()) {
+      return -1;
+    }
+  }
+  std::sort(samples.begin(), samples.end());
+  return samples[samples.size() / 2];
+}
+
 }  // namespace
 
 int main() {
@@ -249,8 +288,20 @@ int main() {
                        "real_time", ms, "ms"});
   }
 
+  const double recompute_ms = central_recompute_ms(32, 3);
+  std::cout << "one batched controller recompute after a ToR uplink "
+               "failure, fat tree\n"
+            << "  k   recompute ms\n"
+            << "  32  " << recompute_ms << "\n";
+  results.push_back({"CentralRecompute/32", "real_time", recompute_ms, "ms"});
+
   if (!ok) {
     std::cerr << "bench_spf: solver diverged from compute_spf or fell back\n";
+    return 1;
+  }
+  if (recompute_ms < 0) {
+    std::cerr << "bench_spf: the failure did not cause exactly one "
+                 "recompute pushed to every switch\n";
     return 1;
   }
   if (!bench::write_bench_json("spf", results)) {

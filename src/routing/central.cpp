@@ -1,5 +1,7 @@
 #include "routing/central.hpp"
 
+#include <algorithm>
+#include <numeric>
 #include <stdexcept>
 
 namespace f2t::routing {
@@ -11,7 +13,21 @@ void CentralController::manage(net::L3Switch& sw,
   } else if (sim_ != &sw.simulator()) {
     throw std::invalid_argument("CentralController: mixed simulators");
   }
-  switches_.push_back(Managed{&sw, std::move(prefixes)});
+  if (index_of_.contains(sw.router_id())) {
+    throw std::invalid_argument("CentralController: switch managed twice: " +
+                                sw.name());
+  }
+  for (const net::Prefix& prefix : prefixes) {
+    if (originated_.contains(prefix)) {
+      throw std::invalid_argument(
+          "CentralController: prefix originated twice: " + prefix.str());
+    }
+  }
+  originated_.insert(prefixes.begin(), prefixes.end());
+  index_of_.emplace(sw.router_id(), switches_.size());
+  if (!prefixes.empty()) destinations_.push_back(switches_.size());
+  switches_.push_back(Managed{&sw, std::move(prefixes), {}});
+  rebuild_all_ = true;
   net::L3Switch* ptr = &sw;
   // A port-state transition is the switch's failure (or recovery) report.
   sw.add_port_state_handler([this, ptr](net::PortId, bool) {
@@ -28,31 +44,102 @@ LsaPtr CentralController::view_of(const Managed& m) const {
   return lsa;
 }
 
-Lsdb CentralController::next_view() {
+void CentralController::compute_rows() {
   // The controller's view is the union of the switches' *detected* local
   // states — exactly the information failure reports carry.
   ++view_version_;
   Lsdb view;
   for (const Managed& m : switches_) view.consider(view_of(m));
-  return view;
+  const LinkStateGraph& g = view.graph();
+  std::vector<RouterIndex> routers;
+  routers.reserve(switches_.size());
+  for (const Managed& m : switches_) {
+    routers.push_back(g.index_of(m.sw->router_id()));
+  }
+  std::vector<RouterIndex> targets;
+  targets.reserve(destinations_.size());
+  for (const std::size_t m : destinations_) targets.push_back(routers[m]);
+  reverse_spf_rows(g, routers, targets, rows_);
+  emit_order_.resize(targets.size());
+  std::iota(emit_order_.begin(), emit_order_.end(), std::size_t{0});
+  std::sort(emit_order_.begin(), emit_order_.end(),
+            [&](std::size_t a, std::size_t b) {
+              return targets[a] < targets[b];
+            });
 }
 
-std::vector<Route> CentralController::routes_for(const Lsdb& view,
-                                                 const Managed& m) const {
-  auto routes = compute_spf(view, m.sw->router_id(), live_adjacency(*m.sw));
-  // A switch never learns a route to a prefix it originates itself.
-  std::erase_if(routes, [&](const Route& r) {
-    return std::find(m.prefixes.begin(), m.prefixes.end(), r.prefix) !=
-           m.prefixes.end();
-  });
+/// For each destination, the next hops are the live local ports to the
+/// neighbors n that minimize cost(self, n) + row[n]. That is exactly
+/// compute_spf's first-hop set: a row may route through `self`, but such
+/// a neighbor's sum exceeds the best by at least two links, and
+/// compute_spf's self edges are the live adjacency, as here. Precondition:
+/// every link in the view costs 1 (live_links advertises cost 1), so
+/// cost(self, n) is the same for every neighbor and the minimum is taken
+/// over the rows alone. Routes come out in compute_spf's order:
+/// destinations in router-index order, next hops by ascending neighbor
+/// address, each neighbor's ports in port order.
+std::vector<Route> CentralController::routes_of(const Managed& m) const {
+  const std::size_t width = destinations_.size();
+  // Each live port with its neighbor's row, ordered by neighbor address
+  // and then port. A neighbor the controller does not manage has no row
+  // and carries no routes, as in compute_spf.
+  struct Port {
+    LocalAdjacency adjacency;
+    const int* row;
+  };
+  std::vector<Port> ports;
+  for (const LocalAdjacency& adjacency : m.adjacency) {
+    if (const auto it = index_of_.find(adjacency.neighbor);
+        it != index_of_.end()) {
+      ports.push_back(Port{adjacency, rows_.data() + it->second * width});
+    }
+  }
+  std::stable_sort(ports.begin(), ports.end(),
+                   [](const Port& a, const Port& b) {
+                     return a.adjacency.neighbor < b.adjacency.neighbor;
+                   });
+
+  std::vector<Route> routes;
+  routes.reserve(width);
+  for (const std::size_t d : emit_order_) {
+    const Managed& dest = switches_[destinations_[d]];
+    if (&dest == &m) continue;
+    int best = SpfArrays::kUnreached;
+    std::size_t count = 0;
+    for (const Port& p : ports) {
+      if (p.row[d] < best) {
+        best = p.row[d];
+        count = 0;
+      }
+      if (p.row[d] == best) ++count;
+    }
+    if (best == SpfArrays::kUnreached) continue;
+    std::vector<NextHop> next_hops;
+    next_hops.reserve(count);
+    for (const Port& p : ports) {
+      if (p.row[d] == best) {
+        next_hops.push_back(NextHop{p.adjacency.port, p.adjacency.neighbor});
+      }
+    }
+    // Every prefix but the last copies the group; the last takes it.
+    for (std::size_t p = 0; p + 1 < dest.prefixes.size(); ++p) {
+      routes.push_back(Route{dest.prefixes[p], next_hops, RouteSource::kOspf});
+    }
+    routes.push_back(
+        Route{dest.prefixes.back(), std::move(next_hops), RouteSource::kOspf});
+  }
   return routes;
 }
 
 void CentralController::converge() {
-  const Lsdb view = next_view();
-  for (const Managed& m : switches_) {
-    m.sw->fib().apply_source_delta(RouteSource::kOspf, routes_for(view, m));
+  compute_rows();
+  for (Managed& m : switches_) {
+    m.adjacency = live_adjacency(*m.sw);
+    m.sw->fib().apply_source_delta(RouteSource::kOspf, routes_of(m));
   }
+  // A push still in flight lands over the routes just installed, so the
+  // next recompute cannot trust them to match the rows.
+  rebuild_all_ = pushes_in_flight_ > 0;
   ++counters_.computations;
 }
 
@@ -68,21 +155,50 @@ void CentralController::on_report(net::L3Switch& /*sw*/) {
 
 void CentralController::recompute_and_push() {
   ++counters_.computations;
-  const Lsdb view = next_view();
-  for (const Managed& m : switches_) {
-    net::L3Switch* sw = m.sw;
-    // The push (and its hook) still happens even when the delta turns out
-    // empty — the controller does not know that before the switch applies
-    // it — so fib_pushes and the simulated event stream are unchanged;
-    // only the redundant FIB writes disappear.
+  const std::vector<int> previous = std::move(rows_);
+  compute_rows();
+  // A switch's routes depend only on its live adjacency and its
+  // neighbors' rows. A switch with neither changed is clean: its new
+  // route set equals the one it last received, so the delta would write
+  // nothing and only dirty switches get a route set built.
+  const std::size_t width = destinations_.size();
+  std::vector<bool> row_changed(switches_.size(), true);
+  if (!rebuild_all_) {
+    for (std::size_t i = 0; i < switches_.size(); ++i) {
+      const int* row = rows_.data() + i * width;
+      row_changed[i] =
+          !std::equal(row, row + width, previous.data() + i * width);
+    }
+  }
+  for (Managed& m : switches_) {
+    std::vector<LocalAdjacency> adjacency = live_adjacency(*m.sw);
+    bool dirty = rebuild_all_ || adjacency != m.adjacency;
+    for (std::size_t i = 0; !dirty && i < adjacency.size(); ++i) {
+      const auto it = index_of_.find(adjacency[i].neighbor);
+      dirty = it != index_of_.end() && row_changed[it->second];
+    }
+    std::vector<Route> routes;
+    if (dirty) {
+      m.adjacency = std::move(adjacency);
+      routes = routes_of(m);
+    }
+    // Every switch still gets its push, and the hook fires, at the same
+    // instant — the controller does not know a delta is empty before the
+    // switch applies it — so fib_pushes and the simulated event stream
+    // are unchanged; only the redundant route sets and FIB writes go.
     ++counters_.fib_pushes;
+    ++pushes_in_flight_;
     sim_->after(config_.push_delay + config_.fib_update_delay,
-                [this, sw, routes = routes_for(view, m)]() mutable {
-                  sw->fib().apply_source_delta(RouteSource::kOspf,
-                                               std::move(routes));
+                [this, sw = m.sw, dirty, routes = std::move(routes)]() mutable {
+                  --pushes_in_flight_;
+                  if (dirty) {
+                    sw->fib().apply_source_delta(RouteSource::kOspf,
+                                                 std::move(routes));
+                  }
                   if (push_hook_) push_hook_(*sw);
                 });
   }
+  rebuild_all_ = false;
 }
 
 }  // namespace f2t::routing

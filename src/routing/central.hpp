@@ -2,6 +2,7 @@
 
 #include <memory>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "net/l3switch.hpp"
@@ -41,7 +42,9 @@ class CentralController {
   };
 
   /// Registers a switch (and optionally the prefixes it originates, e.g.
-  /// a ToR's rack subnet). Call for every switch before converge().
+  /// a ToR's rack subnet). Call for every switch before converge(). Throws
+  /// std::invalid_argument for a switch managed twice or a prefix another
+  /// managed switch already originates: every prefix has one origin.
   void manage(net::L3Switch& sw, std::vector<net::Prefix> prefixes = {});
 
   /// Computes routes from the current global view and installs them on
@@ -60,19 +63,35 @@ class CentralController {
   struct Managed {
     net::L3Switch* sw = nullptr;
     std::vector<net::Prefix> prefixes;
+    /// Live adjacency as of the last computation that built its routes.
+    std::vector<LocalAdjacency> adjacency;
   };
 
   void on_report(net::L3Switch& sw);
   void recompute_and_push();
-  /// Bumps the view version and builds the global view from it.
-  Lsdb next_view();
   LsaPtr view_of(const Managed& m) const;
-  /// One switch's routes in `view`: SPF from its live adjacency, minus
-  /// the prefixes it originates. Shared by converge and every recompute.
-  std::vector<Route> routes_for(const Lsdb& view, const Managed& m) const;
+  /// Builds the global view (bumping its version) and fills rows_ and
+  /// emit_order_ from it. Shared by converge and every recompute.
+  void compute_rows();
+  /// `m`'s routes read off its neighbors' rows in rows_.
+  std::vector<Route> routes_of(const Managed& m) const;
 
   CentralConfig config_;
   std::vector<Managed> switches_;
+  std::unordered_map<net::Ipv4Addr, std::size_t> index_of_;  ///< router id
+  std::unordered_set<net::Prefix> originated_;
+  /// switches_ index of each row column: the switches with prefixes.
+  std::vector<std::size_t> destinations_;
+  /// Row columns in the view's router-index order, compute_spf's
+  /// destination order.
+  std::vector<std::size_t> emit_order_;
+  /// Node-major distances of the last computation: rows_[m · width + d]
+  /// is switches_[m]'s distance to column d's switch.
+  std::vector<int> rows_;
+  /// Set when the next recompute must rebuild every switch's routes: a
+  /// switch was added, or a push in flight at converge() lands over it.
+  bool rebuild_all_ = true;
+  std::size_t pushes_in_flight_ = 0;
   sim::Simulator* sim_ = nullptr;
   sim::EventId pending_compute_ = sim::kInvalidEventId;
   std::uint64_t view_version_ = 0;

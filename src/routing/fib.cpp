@@ -97,15 +97,18 @@ void Fib::replace_source(RouteSource source, std::vector<Route> routes) {
 
 std::size_t Fib::apply_source_delta(RouteSource source,
                                     std::vector<Route> routes) {
-  std::size_t touched = 0;
-  std::vector<net::Prefix> kept;
-  kept.reserve(routes.size());
-  for (Route& r : routes) {
+  // Reject a bad set before the first write, so it changes nothing.
+  for (const Route& r : routes) {
     if (r.next_hops.empty()) {
       throw std::invalid_argument(
           "Fib::apply_source_delta: route without next hops: " +
           r.prefix.str());
     }
+  }
+  std::size_t touched = 0;
+  std::vector<net::Prefix> kept;
+  kept.reserve(routes.size());
+  for (Route& r : routes) {
     r.source = source;
     // Canonical order up front so the equality check is meaningful
     // (install() would sort anyway).

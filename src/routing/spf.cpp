@@ -108,6 +108,33 @@ void dijkstra_full(const LinkStateGraph& g, RouterIndex self,
   }
 }
 
+/// Reverse Dijkstra into `a` (starts a fresh epoch): every node's
+/// distance to `dest` over the two-way edges. Walking y's edges finds
+/// the x with a two-way x→y edge, which costs x's advertised cost, the
+/// `rev_cost` of y's edge. Tracks no first hops.
+void dijkstra_to(const LinkStateGraph& g, RouterIndex dest, SpfArrays& a) {
+  a.begin(g.node_count(), 0);
+  a.touch(dest);
+  a.dist[dest] = 0;
+  heap_push(a, 0, g.router_of(dest).value(), dest);
+  while (!a.heap.empty()) {
+    const RouterIndex y = heap_pop(a).node;
+    if (a.is_settled(y)) continue;
+    a.settle(y);
+    const int dy = a.dist[y];
+    for (const DenseEdge& e : g.edges(y)) {
+      if (!e.two_way) continue;
+      const RouterIndex x = e.to;
+      const int nd = dy + e.rev_cost;
+      a.touch(x);
+      if (nd < a.dist[x]) {
+        a.dist[x] = nd;
+        heap_push(a, nd, g.router_of(x).value(), x);
+      }
+    }
+  }
+}
+
 /// Emits routes from the tree in `a`: one route per (reachable
 /// destination, redistributed prefix), with the first-hop indices mapped
 /// back to local ports. Always a full O(nodes) pass — which is what lets
@@ -193,6 +220,21 @@ std::vector<Route> compute_spf(const Lsdb& lsdb, net::Ipv4Addr self,
   SpfArrays& a = g.scratch();
   dijkstra_full(g, self_index, view, a);
   return emit_routes(g, self_index, view, a);
+}
+
+void reverse_spf_rows(const LinkStateGraph& g,
+                      const std::vector<RouterIndex>& routers,
+                      const std::vector<RouterIndex>& destinations,
+                      std::vector<int>& rows) {
+  const std::size_t width = destinations.size();
+  rows.assign(routers.size() * width, SpfArrays::kUnreached);
+  SpfArrays& a = g.scratch();
+  for (std::size_t d = 0; d < width; ++d) {
+    dijkstra_to(g, destinations[d], a);
+    for (std::size_t r = 0; r < routers.size(); ++r) {
+      rows[r * width + d] = a.distance(routers[r]);
+    }
+  }
 }
 
 bool lsdb_reachable(const Lsdb& lsdb, net::Ipv4Addr from, net::Ipv4Addr to) {

@@ -52,6 +52,20 @@ std::vector<LsaLink> live_links(const net::L3Switch& sw);
 std::vector<Route> compute_spf(const Lsdb& lsdb, net::Ipv4Addr self,
                                const std::vector<LocalAdjacency>& adjacency);
 
+/// Distance rows for destination-based route computation: one reverse
+/// Dijkstra per entry of `destinations`, each giving every router's
+/// shortest distance *to* that destination over the two-way edges, with
+/// an edge x→y costing x's advertised cost (as `compute_spf` run at x
+/// would count it). `rows` is resized and filled node-major:
+/// rows[r · destinations.size() + d] is the distance from routers[r] to
+/// destinations[d], or SpfArrays::kUnreached. Every entry of `routers`
+/// and `destinations` must be a router of `g`. Uses the graph's shared
+/// scratch, like `compute_spf`.
+void reverse_spf_rows(const LinkStateGraph& g,
+                      const std::vector<RouterIndex>& routers,
+                      const std::vector<RouterIndex>& destinations,
+                      std::vector<int>& rows);
+
 /// Reachability probe on the LSDB graph (two-way check applied); used by
 /// tests and topology validation.
 bool lsdb_reachable(const Lsdb& lsdb, net::Ipv4Addr from, net::Ipv4Addr to);

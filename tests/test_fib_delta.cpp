@@ -87,6 +87,24 @@ TEST(FibDelta, RejectsEmptyNextHopsLikeInstall) {
   EXPECT_THROW(fib.apply_source_delta(RouteSource::kOspf,
                                       {make("10.11.0.0/24", {})}),
                std::invalid_argument);
+
+  // A rejected set writes nothing, not even the valid routes ahead of the
+  // bad one: no install, no generation bump, no change hook.
+  fib.replace_source(RouteSource::kOspf,
+                     {make("10.11.0.0/24", {{0, Ipv4Addr(1, 1, 1, 1)}})});
+  const auto before = fib.dump();
+  const std::uint64_t generation = fib.generation();
+  int hook_calls = 0;
+  fib.add_change_hook([&] { ++hook_calls; });
+  EXPECT_THROW(
+      fib.apply_source_delta(
+          RouteSource::kOspf,
+          {make("10.11.1.0/24", {{1, Ipv4Addr(2, 2, 2, 2)}}),
+           make("10.11.2.0/24", {})}),
+      std::invalid_argument);
+  EXPECT_TRUE(fib.dump() == before);
+  EXPECT_EQ(fib.generation(), generation);
+  EXPECT_EQ(hook_calls, 0);
 }
 
 // Property: after any sequence of deltas the FIB is indistinguishable
