@@ -43,7 +43,6 @@ class SeedFib {
   using PortUpFn = std::function<bool(net::PortId)>;
 
   void install(routing::Route route) {
-    std::sort(route.next_hops.begin(), route.next_hops.end());
     Slot& slot = by_length_[static_cast<std::size_t>(route.prefix.length())]
                            [route.prefix.address().value()];
     for (routing::Route& r : slot.by_source) {

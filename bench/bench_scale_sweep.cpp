@@ -13,12 +13,8 @@
 ///
 /// The sweep runs both transport fidelities: the packet-level rows
 /// (k = 8..20) are the historical baseline, and the flow-level rows rerun
-/// the same configurations plus the k = 32/48 fat trees the fluid model
-/// unlocks. k = 64 stays under --big for its memory, not its SPFs: its
-/// 4 096 ToR and aggregation switches each hold ~2 048 routes of 32 next
-/// hops at 8 B, about 2 GB of next hops for one route set, and a
-/// recompute's in-flight FIB pushes hold new sets for the switches whose
-/// routes it rebuilds (560 of 1 280 at k = 32 for C1).
+/// the same configurations plus the k = 32/48/64 fat trees the fluid
+/// model unlocks.
 /// `sim_wall/*-ospf` records each sweep's simulation phase
 /// (topology build + convergence excluded, but shared OSPF event
 /// machinery included — both fidelities pay the same LSA/SPF cost, so
@@ -68,14 +64,12 @@ std::string fmt_loss(const UdpExperiment& e) {
 
 int main(int argc, char** argv) {
   // Default run stays quick enough for Debug builds: k <= 20, both
-  // fidelities. --full adds the k = 32/48 flow-level fat trees (the
+  // fidelities. --full adds the k = 32/48/64 flow-level fat trees (the
   // Release smoke's configuration, and what the committed baseline
-  // records); --big adds k = 64 on top.
+  // records).
   bool full = false;
-  bool big = false;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--full") == 0) full = true;
-    if (std::strcmp(argv[i], "--big") == 0) full = big = true;
   }
 
   std::cout << "F2Tree reproduction - scaling argument: C1 recovery vs "
@@ -142,13 +136,12 @@ int main(int argc, char** argv) {
         {"sim_wall/flow-ospf" + suffix, "wall_time", sim_wall_ms, "ms"});
   }
 
-  // Beyond the packet engine's reach: single-failure recovery on k = 32/48
-  // (and 64 with --big) fat trees, central control plane (per-switch LSDB
+  // Beyond the packet engine's reach: single-failure recovery on
+  // k = 32/48/64 fat trees, central control plane (per-switch LSDB
   // flooding at thousands of switches is a different bench), one host per
   // ToR — the probe needs endpoints, not load.
   std::vector<int> big_ks;
-  if (full) big_ks = {32, 48};
-  if (big) big_ks.push_back(64);
+  if (full) big_ks = {32, 48, 64};
   for (const int n : big_ks) {
     const auto builder = [n](net::Network& net) {
       return topo::build_fat_tree(

@@ -69,14 +69,23 @@ class Parser {
   Value parse_value() {
     skip_ws();
     switch (peek()) {
-      case '{': return parse_object();
-      case '[': return parse_array();
+      case '{': return parse_nested(&Parser::parse_object);
+      case '[': return parse_nested(&Parser::parse_array);
       case '"': return Value::make_string(parse_string());
       case 't': expect_word("true"); return Value::make_bool(true);
       case 'f': expect_word("false"); return Value::make_bool(false);
       case 'n': expect_word("null"); return Value::make_null();
       default: return parse_number();
     }
+  }
+
+  Value parse_nested(Value (Parser::*parse)()) {
+    if (++depth_ > kMaxDepth) {
+      fail("nesting deeper than " + std::to_string(kMaxDepth));
+    }
+    Value v = (this->*parse)();
+    --depth_;
+    return v;
   }
 
   Value parse_object() {
@@ -193,6 +202,7 @@ class Parser {
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;
 };
 
 }  // namespace

@@ -65,8 +65,14 @@ class Value {
   std::vector<std::pair<std::string, Value>> object_;
 };
 
+/// Deepest array/object nesting `parse` accepts. Every artifact the
+/// repo writes nests at most 5 deep; the bound keeps a hostile document
+/// from overflowing the recursive parser's stack.
+inline constexpr int kMaxDepth = 256;
+
 /// Parses one JSON document (with nothing but whitespace after it).
-/// Throws std::invalid_argument with a byte offset on malformed input.
+/// Throws std::invalid_argument with a byte offset on malformed input,
+/// including nesting deeper than kMaxDepth.
 Value parse(std::string_view text);
 
 /// Escapes a string for embedding in hand-rolled JSON writers.

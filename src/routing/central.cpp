@@ -75,14 +75,13 @@ void CentralController::compute_rows() {
 /// compute_spf's self edges are the live adjacency, as here. Precondition:
 /// every link in the view costs 1 (live_links advertises cost 1), so
 /// cost(self, n) is the same for every neighbor and the minimum is taken
-/// over the rows alone. Routes come out in compute_spf's order:
-/// destinations in router-index order, next hops by ascending neighbor
-/// address, each neighbor's ports in port order.
+/// over the rows alone. Routes come out in compute_spf's order, with
+/// destinations in router-index order, and destinations with the same
+/// argmin ports share one next-hop group.
 std::vector<Route> CentralController::routes_of(const Managed& m) const {
   const std::size_t width = destinations_.size();
-  // Each live port with its neighbor's row, ordered by neighbor address
-  // and then port. A neighbor the controller does not manage has no row
-  // and carries no routes, as in compute_spf.
+  // Each live port with its neighbor's row. A neighbor the controller
+  // does not manage has no row and carries no routes, as in compute_spf.
   struct Port {
     LocalAdjacency adjacency;
     const int* row;
@@ -94,39 +93,36 @@ std::vector<Route> CentralController::routes_of(const Managed& m) const {
       ports.push_back(Port{adjacency, rows_.data() + it->second * width});
     }
   }
-  std::stable_sort(ports.begin(), ports.end(),
-                   [](const Port& a, const Port& b) {
-                     return a.adjacency.neighbor < b.adjacency.neighbor;
-                   });
 
+  // A destination's argmin ports as a bitset over `ports`.
+  std::vector<std::uint64_t> argmin((ports.size() + 63) / 64);
+  NextHopGroupMemo memo(argmin.size());
   std::vector<Route> routes;
   routes.reserve(width);
   for (const std::size_t d : emit_order_) {
     const Managed& dest = switches_[destinations_[d]];
     if (&dest == &m) continue;
     int best = SpfArrays::kUnreached;
-    std::size_t count = 0;
-    for (const Port& p : ports) {
-      if (p.row[d] < best) {
-        best = p.row[d];
-        count = 0;
-      }
-      if (p.row[d] == best) ++count;
-    }
+    for (const Port& p : ports) best = std::min(best, p.row[d]);
     if (best == SpfArrays::kUnreached) continue;
-    std::vector<NextHop> next_hops;
-    next_hops.reserve(count);
-    for (const Port& p : ports) {
-      if (p.row[d] == best) {
-        next_hops.push_back(NextHop{p.adjacency.port, p.adjacency.neighbor});
+    std::fill(argmin.begin(), argmin.end(), std::uint64_t{0});
+    for (std::size_t i = 0; i < ports.size(); ++i) {
+      if (ports[i].row[d] == best) {
+        argmin[i / 64] |= std::uint64_t{1} << (i % 64);
       }
     }
-    // Every prefix but the last copies the group; the last takes it.
-    for (std::size_t p = 0; p + 1 < dest.prefixes.size(); ++p) {
-      routes.push_back(Route{dest.prefixes[p], next_hops, RouteSource::kOspf});
+    const NextHopGroup& group = memo.get(argmin.data(), [&] {
+      std::vector<NextHop> next_hops;
+      for (const Port& p : ports) {
+        if (p.row[d] == best) {
+          next_hops.push_back(NextHop{p.adjacency.port, p.adjacency.neighbor});
+        }
+      }
+      return next_hops;
+    });
+    for (const net::Prefix& prefix : dest.prefixes) {
+      routes.push_back(Route{prefix, group, RouteSource::kOspf});
     }
-    routes.push_back(
-        Route{dest.prefixes.back(), std::move(next_hops), RouteSource::kOspf});
   }
   return routes;
 }

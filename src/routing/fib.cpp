@@ -28,8 +28,8 @@ void Fib::install(Route route) {
     throw std::invalid_argument("Fib::install: route without next hops: " +
                                 route.prefix.str());
   }
-  // Deterministic next-hop order so ECMP hashing is stable across runs.
-  std::sort(route.next_hops.begin(), route.next_hops.end());
+  // No sort: a group's hops are in canonical order from construction,
+  // which keeps ECMP hashing stable across runs.
   const auto length = static_cast<std::size_t>(route.prefix.length());
   Slot& slot = by_length_[length][route.prefix.address().value()];
   if (Route* existing = slot.find(route.source)) {
@@ -110,9 +110,6 @@ std::size_t Fib::apply_source_delta(RouteSource source,
   kept.reserve(routes.size());
   for (Route& r : routes) {
     r.source = source;
-    // Canonical order up front so the equality check is meaningful
-    // (install() would sort anyway).
-    std::sort(r.next_hops.begin(), r.next_hops.end());
     kept.push_back(r.prefix);
     const auto length = static_cast<std::size_t>(r.prefix.length());
     auto& bucket = by_length_[length];

@@ -1,6 +1,7 @@
 #include "routing/route.hpp"
 
 #include <sstream>
+#include <stdexcept>
 
 namespace f2t::routing {
 
@@ -11,6 +12,11 @@ const char* route_source_name(RouteSource source) {
     case RouteSource::kOspf: return "ospf";
   }
   return "?";
+}
+
+const NextHop& NextHopGroup::at(std::size_t i) const {
+  if (i >= size_) throw std::out_of_range("NextHopGroup::at");
+  return hops_[i];
 }
 
 std::string Route::describe() const {

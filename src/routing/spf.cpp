@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <stdexcept>
 
 #include "net/l3switch.hpp"
 #include "routing/smallvec.hpp"
@@ -108,71 +109,38 @@ void dijkstra_full(const LinkStateGraph& g, RouterIndex self,
   }
 }
 
-/// Reverse Dijkstra into `a` (starts a fresh epoch): every node's
-/// distance to `dest` over the two-way edges. Walking y's edges finds
-/// the x with a two-way x→y edge, which costs x's advertised cost, the
-/// `rev_cost` of y's edge. Tracks no first hops.
-void dijkstra_to(const LinkStateGraph& g, RouterIndex dest, SpfArrays& a) {
-  a.begin(g.node_count(), 0);
-  a.touch(dest);
-  a.dist[dest] = 0;
-  heap_push(a, 0, g.router_of(dest).value(), dest);
-  while (!a.heap.empty()) {
-    const RouterIndex y = heap_pop(a).node;
-    if (a.is_settled(y)) continue;
-    a.settle(y);
-    const int dy = a.dist[y];
-    for (const DenseEdge& e : g.edges(y)) {
-      if (!e.two_way) continue;
-      const RouterIndex x = e.to;
-      const int nd = dy + e.rev_cost;
-      a.touch(x);
-      if (nd < a.dist[x]) {
-        a.dist[x] = nd;
-        heap_push(a, nd, g.router_of(x).value(), x);
-      }
-    }
-  }
-}
-
 /// Emits routes from the tree in `a`: one route per (reachable
 /// destination, redistributed prefix), with the first-hop indices mapped
 /// back to local ports. Always a full O(nodes) pass — which is what lets
-/// prefix-only LSA churn reuse the cached tree untouched. Each route's
-/// next-hop vector is allocated once at its final size, however wide the
-/// ECMP group.
+/// prefix-only LSA churn reuse the cached tree untouched. Destinations
+/// with the same first-hop bitset share one next-hop group.
 std::vector<Route> emit_routes(const LinkStateGraph& g, RouterIndex self,
                                const SelfView& view, const SpfArrays& a) {
-  const auto for_each_hop = [&](RouterIndex i, auto&& visit) {
-    const std::uint64_t* set = a.hops_of(i);
-    for (std::size_t w = 0; w < a.hop_words; ++w) {
-      for (std::uint64_t bits = set[w]; bits != 0; bits &= bits - 1) {
-        visit(w * 64 + static_cast<std::size_t>(std::countr_zero(bits)));
-      }
-    }
-  };
+  NextHopGroupMemo memo(a.hop_words);
   std::vector<Route> routes;
   const std::size_t n = g.node_count();
   for (RouterIndex i = 0; i < n; ++i) {
     if (i == self || !a.reached(i)) continue;
     const Lsa* lsa = g.lsa_of(i);
     if (lsa == nullptr || lsa->prefixes.empty()) continue;
-    std::size_t count = 0;
-    for_each_hop(i, [&](std::size_t hop) { count += view.ports[hop].size(); });
-    if (count == 0) continue;
-    std::vector<NextHop> next_hops;
-    next_hops.reserve(count);
-    for_each_hop(i, [&](std::size_t hop) {
-      for (const net::PortId port : view.ports[hop]) {
-        next_hops.push_back(NextHop{port, view.neighbors[hop]});
+    const NextHopGroup& group = memo.get(a.hops_of(i), [&] {
+      std::vector<NextHop> next_hops;
+      for (std::size_t w = 0; w < a.hop_words; ++w) {
+        for (std::uint64_t bits = a.hops_of(i)[w]; bits != 0;
+             bits &= bits - 1) {
+          const std::size_t hop =
+              w * 64 + static_cast<std::size_t>(std::countr_zero(bits));
+          for (const net::PortId port : view.ports[hop]) {
+            next_hops.push_back(NextHop{port, view.neighbors[hop]});
+          }
+        }
       }
+      return next_hops;
     });
-    // Every prefix but the last copies the group; the last takes it.
-    for (std::size_t p = 0; p + 1 < lsa->prefixes.size(); ++p) {
-      routes.push_back(Route{lsa->prefixes[p], next_hops, RouteSource::kOspf});
+    if (group.empty()) continue;
+    for (const net::Prefix& prefix : lsa->prefixes) {
+      routes.push_back(Route{prefix, group, RouteSource::kOspf});
     }
-    routes.push_back(
-        Route{lsa->prefixes.back(), std::move(next_hops), RouteSource::kOspf});
   }
   return routes;
 }
@@ -226,11 +194,57 @@ void reverse_spf_rows(const LinkStateGraph& g,
                       const std::vector<RouterIndex>& routers,
                       const std::vector<RouterIndex>& destinations,
                       std::vector<int>& rows) {
+  // Dial's bucket queue. While distance d is being settled every queued
+  // distance lies in [d, d + max_cost], so max_cost + 1 circular buckets
+  // indexed by distance keep them apart. Rows hold distances only, so
+  // the order within a bucket does not matter.
+  int max_cost = 0;
+  for (RouterIndex y = 0; y < g.node_count(); ++y) {
+    for (const DenseEdge& e : g.edges(y)) {
+      if (!e.two_way) continue;
+      if (e.rev_cost < 0) {
+        throw std::invalid_argument(
+            "reverse_spf_rows: negative link cost advertised by " +
+            g.router_of(e.to).str());
+      }
+      max_cost = std::max(max_cost, e.rev_cost);
+    }
+  }
+  std::vector<std::vector<RouterIndex>> buckets(
+      static_cast<std::size_t>(max_cost) + 1);
   const std::size_t width = destinations.size();
   rows.assign(routers.size() * width, SpfArrays::kUnreached);
   SpfArrays& a = g.scratch();
   for (std::size_t d = 0; d < width; ++d) {
-    dijkstra_to(g, destinations[d], a);
+    a.begin(g.node_count(), 0);
+    a.touch(destinations[d]);
+    a.dist[destinations[d]] = 0;
+    buckets[0].push_back(destinations[d]);
+    std::size_t queued = 1;
+    for (int dist = 0; queued > 0; ++dist) {
+      auto& bucket = buckets[static_cast<std::size_t>(dist) % buckets.size()];
+      // A zero-cost edge appends to the bucket being drained.
+      for (std::size_t i = 0; i < bucket.size(); ++i) {
+        const RouterIndex y = bucket[i];
+        --queued;
+        if (a.dist[y] != dist) continue;  // improved after it was queued
+        // Walking y's edges finds each x with a two-way x→y edge; that
+        // hop costs x's advertised cost, the rev_cost of y's edge.
+        for (const DenseEdge& e : g.edges(y)) {
+          if (!e.two_way) continue;
+          const RouterIndex x = e.to;
+          const int nd = dist + e.rev_cost;
+          a.touch(x);
+          if (nd < a.dist[x]) {
+            a.dist[x] = nd;
+            buckets[static_cast<std::size_t>(nd) % buckets.size()]
+                .push_back(x);
+            ++queued;
+          }
+        }
+      }
+      bucket.clear();
+    }
     for (std::size_t r = 0; r < routers.size(); ++r) {
       rows[r * width + d] = a.distance(routers[r]);
     }

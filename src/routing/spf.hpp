@@ -43,7 +43,8 @@ std::vector<LsaLink> live_links(const net::L3Switch& sw);
 /// the destination redistributes, mapping first-hop routers back to the
 /// local ports in `adjacency` (parallel links to the same neighbor all
 /// become next hops, which is how the testbed's doubled across links form
-/// a 2-wide ECMP group).
+/// a 2-wide ECMP group). Destinations with the same first-hop set share
+/// one next-hop group, listed in the FIB's canonical order.
 ///
 /// Runs on the LSDB's dense link-state graph: the two-way check is read
 /// from precomputed per-edge flags and the per-run state lives in flat
@@ -53,13 +54,16 @@ std::vector<Route> compute_spf(const Lsdb& lsdb, net::Ipv4Addr self,
                                const std::vector<LocalAdjacency>& adjacency);
 
 /// Distance rows for destination-based route computation: one reverse
-/// Dijkstra per entry of `destinations`, each giving every router's
-/// shortest distance *to* that destination over the two-way edges, with
-/// an edge x→y costing x's advertised cost (as `compute_spf` run at x
-/// would count it). `rows` is resized and filled node-major:
+/// shortest-path search per entry of `destinations`, each giving every
+/// router's shortest distance *to* that destination over the two-way
+/// edges, with an edge x→y costing x's advertised cost (as `compute_spf`
+/// run at x would count it). `rows` is resized and filled node-major:
 /// rows[r · destinations.size() + d] is the distance from routers[r] to
 /// destinations[d], or SpfArrays::kUnreached. Every entry of `routers`
-/// and `destinations` must be a router of `g`. Uses the graph's shared
+/// and `destinations` must be a router of `g`. Each search is Dial's
+/// bucket queue with (largest two-way cost + 1) buckets: exact for any
+/// non-negative integer costs, sized for a fabric's small ones. Throws
+/// std::invalid_argument on a negative cost. Uses the graph's shared
 /// scratch, like `compute_spf`.
 void reverse_spf_rows(const LinkStateGraph& g,
                       const std::vector<RouterIndex>& routers,

@@ -38,6 +38,29 @@ TEST(Json, RejectsMalformedInput) {
   EXPECT_THROW(core::json::parse("nul"), std::invalid_argument);
   EXPECT_THROW(core::json::parse("1 2"), std::invalid_argument);
   EXPECT_THROW(core::json::parse("\"\\x\""), std::invalid_argument);
+  // Nesting is bounded instead of recursing until the stack overflows.
+  const auto nested = [](int depth, std::string_view open,
+                         std::string_view leaf, std::string_view close) {
+    std::string text;
+    for (int i = 0; i < depth; ++i) text += open;
+    text += leaf;
+    for (int i = 0; i < depth; ++i) text += close;
+    return text;
+  };
+  EXPECT_THROW(core::json::parse(nested(200000, "[", "", "]")),
+               std::invalid_argument);
+  EXPECT_THROW(core::json::parse(nested(200000, "{\"a\":", "1", "}")),
+               std::invalid_argument);
+  constexpr int kMax = core::json::kMaxDepth;
+  EXPECT_NO_THROW(core::json::parse(nested(kMax, "[", "", "]")));
+  EXPECT_NO_THROW(core::json::parse(nested(kMax, "{\"a\":", "1", "}")));
+  try {
+    core::json::parse(nested(kMax + 1, "[", "", "]"));
+    ADD_FAILURE() << "nesting past the bound parsed";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("at byte 256"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(Json, TypeMismatchThrows) {

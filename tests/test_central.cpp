@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <random>
 #include <string>
 #include <vector>
@@ -165,8 +166,8 @@ Lsdb reference_view(const topo::BuiltTopology& topo) {
   return view;
 }
 
-/// compute_spf for `sw` on `view` minus the switch's own prefixes, in the
-/// FIB's canonical form (sorted by prefix, next hops sorted).
+/// compute_spf for `sw` on `view` minus the switch's own prefixes, sorted
+/// by prefix as the FIB dumps them.
 std::vector<Route> reference_routes(const topo::BuiltTopology& topo,
                                     const Lsdb& view, net::L3Switch& sw) {
   auto routes = compute_spf(view, sw.router_id(), live_adjacency(sw));
@@ -175,7 +176,6 @@ std::vector<Route> reference_routes(const topo::BuiltTopology& topo,
     std::erase_if(routes,
                   [&](const Route& r) { return r.prefix == it->second; });
   }
-  for (Route& r : routes) std::sort(r.next_hops.begin(), r.next_hops.end());
   std::sort(routes.begin(), routes.end(),
             [](const Route& a, const Route& b) { return a.prefix < b.prefix; });
   return routes;
@@ -384,6 +384,37 @@ TEST(Central, RecomputeAfterConvergeDuringPushesRebuildsAll) {
   bed.sim().run(sim::millis(400));
   EXPECT_EQ(bed.controller().counters().computations, 4u);
   expect_fibs_follow_spf(topo);
+}
+
+/// Route producers build one next-hop group per distinct hop set: after
+/// the controller's converge() and after OSPF's warm start, no two
+/// distinct group objects in a switch's OSPF entries hold the same hops.
+TEST(NextHopGroups, OneGroupPerDistinctSetAfterConvergence) {
+  for (const char* topology : {"fat", "f2"}) {
+    for (const auto plane :
+         {core::ControlPlane::kCentral, core::ControlPlane::kOspf}) {
+      SCOPED_TRACE(std::string(topology) +
+                   (plane == core::ControlPlane::kCentral ? " central"
+                                                          : " ospf"));
+      core::TestbedConfig config;
+      config.control_plane = plane;
+      core::Testbed bed(core::topology_builder(topology, 8), config);
+      bed.converge();
+      std::size_t shared = 0;
+      for (net::L3Switch* sw : bed.topo().all_switches()) {
+        std::map<std::vector<NextHop>, const NextHop*> group_of;
+        for (const Route& r : ospf_entries(sw->fib())) {
+          const std::vector<NextHop> hops(r.next_hops.begin(),
+                                          r.next_hops.end());
+          const auto [it, fresh] = group_of.emplace(hops, r.next_hops.data());
+          EXPECT_EQ(it->second, r.next_hops.data())
+              << sw->name() << ": " << r.describe();
+          if (!fresh) ++shared;
+        }
+      }
+      EXPECT_GT(shared, 0u);
+    }
+  }
 }
 
 }  // namespace

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "routing/fib.hpp"
 
 namespace f2t::routing {
@@ -147,6 +149,30 @@ TEST(Fib, NextHopsSortedForDeterministicEcmp) {
   EXPECT_EQ(hops[0].port, 1);
   EXPECT_EQ(hops[1].port, 2);
   EXPECT_EQ(hops[2].port, 3);
+}
+
+/// A group sorts once, at construction; copies and the FIB share its
+/// array, and equality looks at the hops, not only the array.
+TEST(NextHopGroups, CanonicalAtConstructionAndShared) {
+  const NextHopGroup group{{3, {}}, {1, {}}, {2, {}}};
+  ASSERT_EQ(group.size(), 3u);
+  EXPECT_EQ(group[0].port, 1);
+  EXPECT_EQ(group[2].port, 3);
+  EXPECT_THROW(group.at(3), std::out_of_range);
+
+  const NextHopGroup copy = group;
+  EXPECT_EQ(copy.data(), group.data());
+  const NextHopGroup rebuilt{{1, {}}, {2, {}}, {3, {}}};
+  EXPECT_NE(rebuilt.data(), group.data());
+  EXPECT_EQ(rebuilt, group);
+  const NextHopGroup other{NextHop{1, {}}};
+  EXPECT_NE(other, group);
+
+  Fib fib;
+  fib.install(Route{Prefix::parse("10.11.0.0/24"), group, RouteSource::kOspf});
+  EXPECT_EQ(fib.find(Prefix::parse("10.11.0.0/24"), RouteSource::kOspf)
+                ->next_hops.data(),
+            group.data());
 }
 
 TEST(Fib, DefaultRouteMatchesEverything) {

@@ -217,15 +217,15 @@ TEST(ResolvedRouteCacheProperty, CachedEqualsUncachedUnderChurn) {
     Route route;
     route.prefix = random_prefix();
     route.source = source;
-    const int hops = static_cast<int>(rng.uniform_int(1, 6));
-    for (int h = 0; h < hops; ++h) {
-      route.next_hops.push_back(
+    const int count = static_cast<int>(rng.uniform_int(1, 6));
+    std::vector<NextHop> hops;
+    for (int h = 0; h < count; ++h) {
+      hops.push_back(
           NextHop{static_cast<net::PortId>(rng.uniform_int(0, 7)), {}});
     }
-    std::sort(route.next_hops.begin(), route.next_hops.end());
-    route.next_hops.erase(
-        std::unique(route.next_hops.begin(), route.next_hops.end()),
-        route.next_hops.end());
+    std::sort(hops.begin(), hops.end());
+    hops.erase(std::unique(hops.begin(), hops.end()), hops.end());
+    route.next_hops = std::move(hops);
     return route;
   };
 

@@ -17,12 +17,10 @@ class ReferenceFib {
     for (auto& r : routes_) {
       if (r.prefix == route.prefix && r.source == route.source) {
         r = route;
-        std::sort(r.next_hops.begin(), r.next_hops.end());
         return;
       }
     }
     routes_.push_back(route);
-    std::sort(routes_.back().next_hops.begin(), routes_.back().next_hops.end());
   }
 
   void remove(const net::Prefix& prefix, RouteSource source) {
@@ -84,16 +82,16 @@ TEST(FibProperty, MatchesReferenceModelUnderRandomOps) {
       Route route;
       route.prefix = random_prefix();
       route.source = random_source();
-      const int hops = static_cast<int>(rng.uniform_int(1, 4));
-      for (int h = 0; h < hops; ++h) {
-        route.next_hops.push_back(
+      const int count = static_cast<int>(rng.uniform_int(1, 4));
+      std::vector<NextHop> hops;
+      for (int h = 0; h < count; ++h) {
+        hops.push_back(
             NextHop{static_cast<net::PortId>(rng.uniform_int(0, 7)), {}});
       }
-      // Deduplicate ports; the FIB sorts, the model must see identical sets.
-      std::sort(route.next_hops.begin(), route.next_hops.end());
-      route.next_hops.erase(
-          std::unique(route.next_hops.begin(), route.next_hops.end()),
-          route.next_hops.end());
+      // Deduplicate ports; FIB and model share the group, hence its order.
+      std::sort(hops.begin(), hops.end());
+      hops.erase(std::unique(hops.begin(), hops.end()), hops.end());
+      route.next_hops = std::move(hops);
       fib.install(route);
       reference.install(route);
     } else if (op < 8) {  // remove
