@@ -1,9 +1,10 @@
 /// Substrate micro-benchmarks (google-benchmark): FIB longest-prefix
-/// match (legacy allocating API, allocation-free lookup_into, and the
-/// cached resolved-route fast path), ECMP hashing, SPF computation and
-/// its first-hop set representation, event-queue throughput and topology
-/// construction. These back the claim that the simulator is a
-/// packet-level engine fast enough for the paper's 600 s emulations.
+/// match (the seed's allocating lookup, replicated here, the
+/// allocation-free lookup_into, and the cached resolved-route fast path),
+/// ECMP hashing, SPF computation and its first-hop set representation,
+/// event-queue throughput and topology construction. These back the
+/// claim that the simulator is a packet-level engine fast enough for the
+/// paper's 600 s emulations.
 ///
 /// Unlike the figure/table benches this binary has a custom main: it runs
 /// the registered benchmarks through a collecting reporter, derives the
@@ -122,18 +123,6 @@ routing::Fib make_bench_fib(int n) {
   return make_bench_fib_like<routing::Fib>(n);
 }
 
-// The seed-era API: std::function predicate, heap-allocated result.
-void BM_FibLookup(benchmark::State& state) {
-  const routing::Fib fib = make_bench_fib(static_cast<int>(state.range(0)));
-  auto up = [](net::PortId) { return true; };
-  std::uint32_t i = 0;
-  for (auto _ : state) {
-    const net::Ipv4Addr dst(10, 11, static_cast<std::uint8_t>(i++ % 256), 7);
-    benchmark::DoNotOptimize(fib.lookup(dst, up));
-  }
-}
-BENCHMARK(BM_FibLookup)->Arg(32)->Arg(256);
-
 // Allocation-free walk: bool-vector port view, SmallVec result reused
 // across lookups.
 void BM_FibLookupInto(benchmark::State& state) {
@@ -195,9 +184,14 @@ void BM_FibLookupFallthrough(benchmark::State& state) {
   fib.install(routing::Route{net::Prefix::parse("10.10.0.0/15"),
                              {routing::NextHop{2, {}}},
                              routing::RouteSource::kStatic});
-  auto up = [](net::PortId p) { return p != 0; };
+  std::vector<bool> ports(16, true);
+  ports[0] = false;
+  const routing::Fib::PortStateView view{&ports};
+  routing::Fib::HopVec hops;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(fib.lookup(net::Ipv4Addr(10, 11, 3, 9), up));
+    hops.clear();
+    fib.lookup_into(net::Ipv4Addr(10, 11, 3, 9), view, hops);
+    benchmark::DoNotOptimize(hops.data());
   }
 }
 BENCHMARK(BM_FibLookupFallthrough);
@@ -544,8 +538,6 @@ int main(int argc, char** argv) {
        "BM_FibLookupResolved/256"},
       {"FibLookupInto_speedup/256", "BM_FibLookupSeed/256",
        "BM_FibLookupInto/256"},
-      {"FibLookupResolved_vs_current_legacy/256", "BM_FibLookup/256",
-       "BM_FibLookupResolved/256"},
       {"SpfFirstHopsBitset_speedup", "BM_SpfFirstHopsStdSet",
        "BM_SpfFirstHopsBitset"},
       {"CalendarQueue_speedup/16384", "BM_BinaryHeapQueueHold/16384",

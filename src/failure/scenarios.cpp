@@ -3,38 +3,29 @@
 #include <algorithm>
 #include <sstream>
 
-#include "routing/ecmp.hpp"
+#include "net/trace.hpp"
 
 namespace f2t::failure {
 
 TracedPath trace_route_detailed(const net::Host& src, const net::Host& dst,
-                                const net::Packet& probe, int max_hops) {
+                                const net::Packet& probe) {
   TracedPath path;
   if (src.port_count() == 0) return {};
   path.nodes.push_back(&src);
-  path.links.push_back(src.port(0).link);
-  const net::Node* current = src.port(0).link->peer_of(src).node;
-  for (int hop = 0; hop < max_hops; ++hop) {
-    path.nodes.push_back(current);
-    if (current == &dst) return path;
-    const auto* sw = dynamic_cast<const net::L3Switch*>(current);
-    if (sw == nullptr) return {};  // ended on a wrong host
-    const auto& next_hops = sw->resolve_next_hops(probe.dst);
-    if (next_hops.empty()) return {};
-    const std::size_t pick = routing::ecmp_select(
-        probe, static_cast<std::uint64_t>(sw->id()), next_hops.size());
-    net::Link* link = sw->port(next_hops[pick].port).link;
-    path.links.push_back(link);
-    current = link->peer_of(*sw).node;
-  }
-  return {};  // loop / too long
+  const net::WalkEnd end = net::walk_path(
+      src, 0, probe, dst,
+      [&path](net::Link& link, const net::Node& from, std::uint8_t) {
+        path.links.push_back(&link);
+        path.nodes.push_back(link.peer_of(from).node);
+      });
+  if (end != net::WalkEnd::kDelivered) return {};
+  return path;
 }
 
 std::vector<const net::Node*> trace_route(const net::Host& src,
                                           const net::Host& dst,
-                                          const net::Packet& probe,
-                                          int max_hops) {
-  return trace_route_detailed(src, dst, probe, max_hops).nodes;
+                                          const net::Packet& probe) {
+  return trace_route_detailed(src, dst, probe).nodes;
 }
 
 const char* condition_name(Condition c) {

@@ -10,14 +10,14 @@
 
 namespace f2t::failure {
 
-/// Deterministic data-plane walk of the path a 5-tuple would take right
-/// now: repeated FIB lookup + ECMP selection from the source host's ToR.
-/// Returns every node visited, source and destination hosts included, or
-/// an empty vector when forwarding would fail. Requires converged FIBs.
+/// The path `probe` would take right now from `src` to `dst`, predicted
+/// by net::walk_path from each switch's forwarding decision; the probe's
+/// TTL (64, as the host stack stamps it) bounds the walk. Returns every
+/// node visited, source and destination hosts included, or an empty
+/// vector when the packet would not reach `dst`.
 std::vector<const net::Node*> trace_route(const net::Host& src,
                                           const net::Host& dst,
-                                          const net::Packet& probe,
-                                          int max_hops = 64);
+                                          const net::Packet& probe);
 
 /// Like trace_route, but also reports the exact links traversed —
 /// required when parallel links exist (F² across-link pairs, Aspen's
@@ -31,7 +31,7 @@ struct TracedPath {
 };
 
 TracedPath trace_route_detailed(const net::Host& src, const net::Host& dst,
-                                const net::Packet& probe, int max_hops = 64);
+                                const net::Packet& probe);
 
 /// The paper's failure conditions (Table IV), defined relative to a
 /// reference flow's downward forwarding path. C8 is the parenthetical

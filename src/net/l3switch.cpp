@@ -1,6 +1,5 @@
 #include "net/l3switch.hpp"
 
-#include "routing/ecmp.hpp"
 #include "sim/logging.hpp"
 
 namespace f2t::net {
@@ -45,36 +44,40 @@ void L3Switch::receive(PortId p, Packet packet) {
     }
     return;
   }
-  if (packet.dst == router_id_) {
-    ++counters_.local_delivered;
-    return;
-  }
   forward(std::move(packet), p);
 }
 
 bool L3Switch::forward(Packet packet, PortId ingress) {
-  if (packet.ttl == 0 || --packet.ttl == 0) {
-    ++counters_.dropped_ttl;
-    if (drop_handler_) drop_handler_(packet, DropReason::kTtlExpired);
-    F2T_LOG(sim_.logger(), sim::LogLevel::kDebug, sim_.now(),
-            name() << ": TTL expired for " << packet.describe());
-    return false;
+  // Drop handlers, taps and the log see the TTL this hop leaves the
+  // packet with: one less, or 0 when it dies here.
+  const Decision decision = decide(packet);
+  switch (decision.kind) {
+    case Decision::Kind::kForward:
+      break;
+    case Decision::Kind::kConsumed:
+      ++counters_.local_delivered;
+      return true;
+    case Decision::Kind::kTtlExpired:
+      packet.ttl = 0;
+      ++counters_.dropped_ttl;
+      if (drop_handler_) drop_handler_(packet, DropReason::kTtlExpired);
+      F2T_LOG(sim_.logger(), sim::LogLevel::kDebug, sim_.now(),
+              name() << ": TTL expired for " << packet.describe());
+      return false;
+    case Decision::Kind::kNoRoute:
+      --packet.ttl;
+      ++counters_.dropped_no_route;
+      if (drop_handler_) drop_handler_(packet, DropReason::kNoRoute);
+      F2T_LOG(sim_.logger(), sim::LogLevel::kDebug, sim_.now(),
+              name() << ": no route for " << packet.dst.str());
+      return false;
   }
-  const auto& next_hops = resolve_next_hops(packet.dst);
-  if (next_hops.empty()) {
-    ++counters_.dropped_no_route;
-    if (drop_handler_) drop_handler_(packet, DropReason::kNoRoute);
-    F2T_LOG(sim_.logger(), sim::LogLevel::kDebug, sim_.now(),
-            name() << ": no route for " << packet.dst.str());
-    return false;
-  }
-  const PortId egress =
-      routing::ecmp_pick(packet, static_cast<std::uint64_t>(id()),
-                         next_hops.data(), next_hops.size())
-          .port;
+  --packet.ttl;
   ++counters_.forwarded;
-  for (const ForwardTap& tap : forward_taps_) tap(packet, ingress, egress);
-  send(egress, std::move(packet));
+  for (const ForwardTap& tap : forward_taps_) {
+    tap(packet, ingress, decision.egress);
+  }
+  send(decision.egress, std::move(packet));
   return true;
 }
 

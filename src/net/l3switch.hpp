@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "net/node.hpp"
+#include "routing/ecmp.hpp"
 #include "routing/fib.hpp"
 #include "routing/route_cache.hpp"
 
@@ -48,10 +49,39 @@ class L3Switch : public Node {
   routing::Fib& fib() { return fib_; }
   const routing::Fib& fib() const { return fib_; }
 
+  /// The switch's one forwarding decision for a data packet arriving
+  /// with `packet.ttl`: consumed here (addressed to the router id),
+  /// dropped (the TTL dies at this hop, or no usable next hop is left),
+  /// or forwarded out of the ECMP pick over the cached resolution.
+  /// forward() acts on it; net::walk_path predicts paths from it. Reads
+  /// the FIB and detected port state; writes only the route cache.
+  /// Defined here so that forward() inlines it on the per-hop path.
+  struct Decision {
+    enum class Kind : std::uint8_t {
+      kForward,
+      kConsumed,
+      kTtlExpired,
+      kNoRoute
+    };
+    Kind kind = Kind::kNoRoute;
+    PortId egress = kInvalidPort;  ///< set for kForward only
+  };
+  Decision decide(const Packet& packet) const {
+    if (packet.dst == router_id_) return {Decision::Kind::kConsumed};
+    if (packet.ttl <= 1) return {Decision::Kind::kTtlExpired};
+    const auto& next_hops = resolve_next_hops(packet.dst);
+    if (next_hops.empty()) return {Decision::Kind::kNoRoute};
+    return {Decision::Kind::kForward,
+            routing::ecmp_pick(packet, static_cast<std::uint64_t>(id()),
+                               next_hops.data(), next_hops.size())
+                .port};
+  }
+
   void receive(PortId p, Packet packet) override;
 
-  /// Routes a packet that originates at this switch (control plane) or
-  /// arrived from a link. Looks up the FIB, applies ECMP, transmits.
+  /// Acts on decide() for a packet that originates at this switch
+  /// (control plane) or arrived from a link: counts it, and transmits it
+  /// with its TTL decremented unless it is consumed or dropped.
   /// `ingress` is only used for the tap. Returns false when dropped.
   bool forward(Packet packet, PortId ingress = kInvalidPort);
 
@@ -85,13 +115,6 @@ class L3Switch : public Node {
   void add_control_handler(ControlHandler handler) {
     if (handler) control_handlers_.push_back(std::move(handler));
   }
-  /// Compatibility shim for the historic single-handler API: *replaces*
-  /// all handlers with `handler` (nullptr uninstalls them all). Prefer
-  /// add_control_handler.
-  void set_control_handler(ControlHandler handler) {
-    control_handlers_.clear();
-    add_control_handler(std::move(handler));
-  }
   std::size_t control_handler_count() const {
     return control_handlers_.size();
   }
@@ -102,12 +125,6 @@ class L3Switch : public Node {
   /// Appends a forwarding tap; every tap sees every forwarded packet, so
   /// a PacketTracer and the observability journal can coexist.
   void add_forward_tap(ForwardTap tap) {
-    forward_taps_.push_back(std::move(tap));
-  }
-  /// Compatibility shim for the historic single-tap API: *replaces* all
-  /// taps with `tap`. Prefer add_forward_tap.
-  void set_forward_tap(ForwardTap tap) {
-    forward_taps_.clear();
     forward_taps_.push_back(std::move(tap));
   }
   std::size_t forward_tap_count() const { return forward_taps_.size(); }

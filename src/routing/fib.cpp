@@ -66,35 +66,6 @@ void Fib::remove(const net::Prefix& prefix, RouteSource source) {
   }
 }
 
-void Fib::clear_source(RouteSource source) {
-  for (std::size_t length = 0; length < by_length_.size(); ++length) {
-    auto& bucket = by_length_[length];
-    for (auto it = bucket.begin(); it != bucket.end();) {
-      auto& routes = it->second.by_source;
-      for (std::size_t i = 0; i < routes.size(); ++i) {
-        if (routes[i].source == source) {
-          routes.erase(routes.begin() + static_cast<std::ptrdiff_t>(i));
-          it->second.recompute_best();
-          --count_;
-          ++generation_;
-          notify_changed();
-          break;
-        }
-      }
-      it = routes.empty() ? bucket.erase(it) : std::next(it);
-    }
-    if (bucket.empty()) nonempty_lengths_ &= ~(std::uint64_t{1} << length);
-  }
-}
-
-void Fib::replace_source(RouteSource source, std::vector<Route> routes) {
-  clear_source(source);
-  for (Route& r : routes) {
-    r.source = source;
-    install(std::move(r));
-  }
-}
-
 std::size_t Fib::apply_source_delta(RouteSource source,
                                     std::vector<Route> routes) {
   // Reject a bad set before the first write, so it changes nothing.
@@ -143,8 +114,7 @@ std::size_t Fib::apply_source_delta(RouteSource source,
   return touched;
 }
 
-template <typename PortPred, typename OutVec>
-void Fib::lookup_walk(net::Ipv4Addr dst, const PortPred& up, OutVec& out,
+void Fib::lookup_walk(net::Ipv4Addr dst, PortStateView ports, HopVec& out,
                       RouteSource* source_out) const {
   std::uint64_t lengths = nonempty_lengths_;
   while (lengths != 0) {
@@ -159,7 +129,7 @@ void Fib::lookup_walk(net::Ipv4Addr dst, const PortPred& up, OutVec& out,
     const Route* route = it->second.best();
     if (route == nullptr) continue;
     for (const NextHop& nh : route->next_hops) {
-      if (up(nh.port)) out.push_back(nh);
+      if (ports(nh.port)) out.push_back(nh);
     }
     if (!out.empty()) {
       if (source_out != nullptr) *source_out = route->source;
@@ -171,20 +141,9 @@ void Fib::lookup_walk(net::Ipv4Addr dst, const PortPred& up, OutVec& out,
   }
 }
 
-std::vector<NextHop> Fib::lookup(net::Ipv4Addr dst,
-                                 const PortUpFn& port_up) const {
-  std::vector<NextHop> out;
-  if (port_up) {
-    lookup_walk(dst, port_up, out);
-  } else {
-    lookup_walk(dst, [](net::PortId) { return true; }, out);
-  }
-  return out;
-}
-
 void Fib::lookup_into(net::Ipv4Addr dst, PortStateView ports,
                       HopVec& out) const {
-  lookup_walk(dst, ports, out);
+  lookup_walk(dst, ports, out, nullptr);
 }
 
 void Fib::lookup_into(net::Ipv4Addr dst, PortStateView ports, HopVec& out,

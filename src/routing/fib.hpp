@@ -31,17 +31,13 @@ namespace f2t::routing {
 /// destination without touching the heap — the data-plane fast path.
 class Fib {
  public:
-  /// Predicate telling whether a local egress port is usable (i.e. the
-  /// data plane has not detected it down). Retained for tests and generic
-  /// callers; the forwarding fast path uses `PortStateView` instead.
-  using PortUpFn = std::function<bool(net::PortId)>;
-
   /// ECMP groups wider than this spill to the heap; production fabrics in
   /// the paper use 2-wide groups, fat trees up to k/2.
   static constexpr std::size_t kInlineHops = 4;
   using HopVec = SmallVec<NextHop, kInlineHops>;
 
-  /// Zero-cost view over a switch's detected-port-state vector. Ports
+  /// Zero-cost view over a switch's detected-port-state vector, telling
+  /// whether a local egress port is usable (not detected down). Ports
   /// beyond the vector's size are considered up, matching the lazily-grown
   /// default in `net::L3Switch`. A null vector means "all ports up".
   struct PortStateView {
@@ -58,33 +54,22 @@ class Fib {
   /// Removes the entry for (prefix, source). No-op if absent.
   void remove(const net::Prefix& prefix, RouteSource source);
 
-  /// Removes every route from `source` (used when SPF reinstalls its
-  /// whole result).
-  void clear_source(RouteSource source);
-
-  /// Atomically replaces all routes of `source` with `routes`.
-  void replace_source(RouteSource source, std::vector<Route> routes);
-
   /// Diffs `routes` — the complete desired set for `source` — against the
   /// installed entries and touches only the changed slots: unchanged
   /// entries are left alone, changed/new ones installed, and entries of
   /// `source` absent from `routes` removed. Returns the number of slots
-  /// written (installs + removals). The final FIB state is identical to
-  /// `replace_source(source, routes)`, but an empty delta performs no
-  /// write and does not move `generation()` — which is what keeps
-  /// `ResolvedRouteCache` entries warm across no-op SPF reinstalls.
+  /// written (installs + removals). The final FIB state is that of
+  /// removing every route of `source` and installing `routes`, but an
+  /// empty delta performs no write and does not move `generation()` —
+  /// which is what keeps `ResolvedRouteCache` entries warm across no-op
+  /// SPF reinstalls.
   std::size_t apply_source_delta(RouteSource source, std::vector<Route> routes);
 
-  /// Longest-prefix match over *usable* entries: returns the usable next
-  /// hops of the longest prefix containing `dst` whose best-source entry
-  /// has at least one next hop with port_up(port). Falls through to
-  /// shorter prefixes otherwise. Allocates its result; prefer
-  /// `lookup_into` on hot paths.
-  std::vector<NextHop> lookup(net::Ipv4Addr dst, const PortUpFn& port_up) const;
-
-  /// Allocation-free LPM walk: appends the usable next hops of the
-  /// longest matching live prefix to `out` (which the caller clears).
-  /// Observably identical to `lookup` given the same port state.
+  /// Longest-prefix match over *usable* entries, without allocating:
+  /// appends to `out` (which the caller clears) the usable next hops of
+  /// the longest prefix containing `dst` whose best-source entry has at
+  /// least one next hop on a port `ports` reports up. Falls through to
+  /// shorter prefixes otherwise.
   void lookup_into(net::Ipv4Addr dst, PortStateView ports, HopVec& out) const;
 
   /// As above, additionally reporting which RouteSource the matched entry
@@ -94,8 +79,8 @@ class Fib {
   void lookup_into(net::Ipv4Addr dst, PortStateView ports, HopVec& out,
                    RouteSource& source) const;
 
-  /// Monotone counter bumped by every mutating call (`install`,
-  /// `remove`, `clear_source`, `replace_source`). Callers memoizing
+  /// Monotone counter bumped by every write (`install`, `remove`, and
+  /// each slot `apply_source_delta` touches). Callers memoizing
   /// resolved lookups (see `ResolvedRouteCache`) compare generations
   /// instead of registering invalidation hooks.
   std::uint64_t generation() const { return generation_; }
@@ -134,9 +119,8 @@ class Fib {
     void recompute_best();
   };
 
-  template <typename PortPred, typename OutVec>
-  void lookup_walk(net::Ipv4Addr dst, const PortPred& up, OutVec& out,
-                   RouteSource* source_out = nullptr) const;
+  void lookup_walk(net::Ipv4Addr dst, PortStateView ports, HopVec& out,
+                   RouteSource* source_out) const;
 
   void notify_changed() {
     for (const auto& hook : change_hooks_) hook();

@@ -3,15 +3,18 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "net/l3switch.hpp"
-#include "routing/ecmp.hpp"
-
 namespace f2t::transport {
 
 namespace {
 
 std::uint32_t channel_key(const net::Link& link, net::Link::Direction d) {
   return link.id() * 2u + (d == net::Link::Direction::kAToB ? 0u : 1u);
+}
+
+/// The end that transmits on `channel`: the inverse of channel_key.
+const net::Link::End& sender_of(net::Network& network, std::uint32_t channel) {
+  const net::Link& link = network.link(channel / 2);
+  return channel % 2 == 0 ? link.end_a() : link.end_b();
 }
 
 }  // namespace
@@ -125,51 +128,29 @@ sim::Time FluidProbe::hop_flight(const net::Link& link) const {
          link.params().propagation_delay;
 }
 
-FluidProbe::Terminal FluidProbe::trace_from(const net::Node* node,
-                                            sim::Time at, int ttl,
-                                            std::vector<Hop>& hops) {
+net::WalkEnd FluidProbe::trace_from(const net::Node& sender,
+                                    net::PortId port, sim::Time at,
+                                    std::uint8_t ttl,
+                                    std::vector<Hop>& hops) {
   ++stats_.retraces;
-  const net::Node* current = node;
-  for (;;) {
-    if (current == &dst_) return Terminal::kDelivered;
-    const auto* sw = dynamic_cast<const net::L3Switch*>(current);
-    if (sw == nullptr) return Terminal::kWrongHost;
-    if (sw->router_id() == probe_.dst) return Terminal::kConsumed;
-    // L3Switch::forward drops when the arriving TTL is <= 1.
-    if (ttl <= 1) {
-      ++stats_.loop_traces;
-      return Terminal::kTtlExpired;
-    }
-    --ttl;
-    const auto& next_hops = sw->resolve_next_hops(probe_.dst);
-    if (next_hops.empty()) return Terminal::kNoRoute;
-    const std::size_t pick = routing::ecmp_select(
-        probe_, static_cast<std::uint64_t>(sw->id()), next_hops.size());
-    net::Link* link = sw->port(next_hops[pick].port).link;
-    const net::Link::End& to = link->peer_of(*sw);
-    const sim::Time flight = hop_flight(*link);
-    hops.push_back(Hop{channel_key(*link, link->direction_from(*sw)), at,
-                       flight, to.node->id(),
-                       static_cast<std::int16_t>(ttl)});
-    at += flight;
-    current = to.node;
-  }
-}
-
-FluidProbe::Terminal FluidProbe::trace_path(sim::Time base,
-                                            std::vector<Hop>& hops) {
-  hops.clear();
-  net::Link* uplink = src_.port(0).link;
-  const net::Link::End& to = uplink->peer_of(src_);
-  const sim::Time flight = hop_flight(*uplink);
-  // Hosts neither route nor decrement TTL; the stack stamps 64.
-  hops.push_back(Hop{channel_key(*uplink, uplink->direction_from(src_)),
-                     base, flight, to.node->id(), 64});
-  return trace_from(to.node, base + flight, 64, hops);
+  net::Packet packet = probe_;
+  packet.ttl = ttl;
+  const net::WalkEnd end = net::walk_path(
+      sender, port, packet, dst_,
+      [&](const net::Link& link, const net::Node& from, std::uint8_t carried) {
+        const sim::Time flight = hop_flight(link);
+        hops.push_back(Hop{channel_key(link, link.direction_from(from)), at,
+                           flight, carried});
+        at += flight;
+      });
+  if (end == net::WalkEnd::kTtlExpired) ++stats_.loop_traces;
+  return end;
 }
 
 void FluidProbe::retrace_regime() {
-  regime_terminal_ = trace_path(0, regime_hops_);
+  regime_hops_.clear();
+  // The host stack stamps TTL 64; hosts do not route or decrement it.
+  regime_terminal_ = trace_from(src_, 0, 0, 64, regime_hops_);
 }
 
 sim::Time FluidProbe::regime_decision_offset() const {
@@ -177,8 +158,9 @@ sim::Time FluidProbe::regime_decision_offset() const {
   // consumed packet's final decision happens on arrival at the dropping
   // node, one flight later.
   const Hop& last = regime_hops_.back();
-  return regime_terminal_ == Terminal::kDelivered ? last.enqueue
-                                                  : last.enqueue + last.flight;
+  return regime_terminal_ == net::WalkEnd::kDelivered
+             ? last.enqueue
+             : last.enqueue + last.flight;
 }
 
 void FluidProbe::partition_sends(sim::Time now) {
@@ -224,7 +206,7 @@ void FluidProbe::advance_pending(std::uint32_t pending_idx, sim::Time now) {
   if (trace_intact) {
     const Hop& last = p.hops.back();
     const bool decided =
-        p.terminal == Terminal::kDelivered  // no decision on host arrival
+        p.terminal == net::WalkEnd::kDelivered  // no decision on host arrival
         || last.enqueue + last.flight < now;
     if (decided) {
       open_.erase(pending_arena_, pending_idx);
@@ -234,10 +216,13 @@ void FluidProbe::advance_pending(std::uint32_t pending_idx, sim::Time now) {
   }
   p.hops.resize(keep);
   p.final_count = keep;
-  const Hop& last = p.hops.back();
-  p.terminal = trace_from(&network_.node(last.to),
-                          last.enqueue + last.flight, last.ttl_at_to,
-                          p.hops);
+  // Walk again from the last final hop's sender: the walk re-crosses that
+  // link exactly as recorded, then decides under the live state.
+  const Hop last = p.hops.back();
+  p.hops.pop_back();
+  const net::Link::End& sender = sender_of(network_, last.channel);
+  p.terminal =
+      trace_from(*sender.node, sender.port, last.enqueue, last.ttl, p.hops);
 }
 
 void FluidProbe::process_change() {
@@ -262,7 +247,7 @@ void FluidProbe::process_change() {
 
 void FluidProbe::sync_flow_path() {
   std::vector<std::uint32_t> path;
-  if (regime_terminal_ == Terminal::kDelivered) {
+  if (regime_terminal_ == net::WalkEnd::kDelivered) {
     path.reserve(regime_hops_.size());
     for (const Hop& hop : regime_hops_) path.push_back(hop.channel);
   }
@@ -330,7 +315,7 @@ void FluidProbe::finalize() {
   }
 
   for (const Batch& batch : batches_) {
-    if (batch.terminal != Terminal::kDelivered) continue;
+    if (batch.terminal != net::WalkEnd::kDelivered) continue;
     const Hop& last = batch.hops.back();
     const sim::Time delay = last.enqueue + last.flight;
     bool all_clean = true;
@@ -350,7 +335,7 @@ void FluidProbe::finalize() {
   for (auto i = resolved_.head(); i != core::kNilIndex;
        i = resolved_.next(pending_arena_, i)) {
     const Pending& p = pending_arena_.at_index(i);
-    if (p.terminal != Terminal::kDelivered) continue;
+    if (p.terminal != net::WalkEnd::kDelivered) continue;
     if (!send_delivered(p.hops, 0)) continue;
     const Hop& last = p.hops.back();
     emit_arrival(p.k, last.enqueue + last.flight);

@@ -7,6 +7,7 @@
 
 #include "core/arena.hpp"
 #include "net/network.hpp"
+#include "net/trace.hpp"
 #include "transport/udp_app.hpp"
 
 namespace f2t::transport {
@@ -102,20 +103,10 @@ class FluidProbe {
   /// One resolved hop of a send's path. `enqueue` is absolute in pending
   /// records and send-relative in regime batches.
   struct Hop {
-    std::uint32_t channel = 0;  ///< link id * 2 + direction
+    std::uint32_t channel = 0;  ///< link id * 2 + direction: the sender
     sim::Time enqueue = 0;
     sim::Time flight = 0;  ///< serialization + propagation
-    net::NodeId to = net::kInvalidNode;
-    std::int16_t ttl_at_to = 0;
-  };
-
-  /// Where a traced path ends, mirroring the packet engine's outcomes.
-  enum class Terminal {
-    kDelivered,   ///< reached the destination host
-    kNoRoute,     ///< a switch had no usable next hop
-    kTtlExpired,  ///< transient loop consumed the TTL
-    kConsumed,    ///< dst matched a router id (never for host probes)
-    kWrongHost,   ///< forwarded into a non-destination host
+    std::uint8_t ttl = 0;  ///< carried over the hop
   };
 
   /// A maximal run of sends whose every hop falls inside one
@@ -125,7 +116,7 @@ class FluidProbe {
     std::uint64_t k_begin = 0;
     std::uint64_t k_end = 0;
     std::vector<Hop> hops;
-    Terminal terminal = Terminal::kNoRoute;
+    net::WalkEnd terminal = net::WalkEnd::kNoRoute;
   };
 
   /// A send whose path straddles a routing change: hops[0..final_count)
@@ -138,7 +129,7 @@ class FluidProbe {
     std::uint64_t k = 0;
     std::vector<Hop> hops;
     std::size_t final_count = 0;
-    Terminal terminal = Terminal::kNoRoute;
+    net::WalkEnd terminal = net::WalkEnd::kNoRoute;
     core::ListLink link;
   };
 
@@ -153,13 +144,13 @@ class FluidProbe {
   sim::Time send_time(std::uint64_t k) const;
   std::uint64_t first_k_at_or_after(sim::Time t) const;
   sim::Time hop_flight(const net::Link& link) const;
-  /// Traces the forwarding walk from `node` (a packet arriving there at
-  /// `at` with `ttl`), appending hops. Pure read of the live routing
-  /// state.
-  Terminal trace_from(const net::Node* node, sim::Time at, int ttl,
-                      std::vector<Hop>& hops);
-  /// Traces the full path from the source host; offsets when base == 0.
-  Terminal trace_path(sim::Time base, std::vector<Hop>& hops);
+  /// Traces the walk (net::walk_path) of the probe that `sender`
+  /// transmits out of `port` at `at` carrying `ttl`, appending one hop
+  /// per link crossed. Pure read of the live routing state.
+  net::WalkEnd trace_from(const net::Node& sender, net::PortId port,
+                          sim::Time at, std::uint8_t ttl,
+                          std::vector<Hop>& hops);
+  /// Traces the regime path from the source host (send-relative times).
   void retrace_regime();
   /// Decision horizon of the current regime path: a send at t is fully
   /// decided once now > t + off_dec (all forwarding and drop decisions
@@ -190,7 +181,7 @@ class FluidProbe {
 
   bool routing_dirty_ = false;
   std::vector<Hop> regime_hops_;  ///< enqueue = offset from send time
-  Terminal regime_terminal_ = Terminal::kNoRoute;
+  net::WalkEnd regime_terminal_ = net::WalkEnd::kNoRoute;
   std::uint64_t next_k_ = 0;  ///< first send not yet batched or pended
 
   std::vector<Batch> batches_;

@@ -25,9 +25,8 @@ TEST(Central, ConvergeInstallsRoutesEverywhere) {
   for (auto* sw : bed.topo().all_switches()) {
     for (const auto& [tor, prefix] : bed.topo().subnet_of_tor) {
       if (tor == sw) continue;
-      const auto hops = sw->fib().lookup(
-          net::Ipv4Addr(prefix.address().value() + 10),
-          [&](net::PortId p) { return sw->port_detected_up(p); });
+      const auto hops = sw->resolve_next_hops(
+          net::Ipv4Addr(prefix.address().value() + 10));
       EXPECT_FALSE(hops.empty()) << sw->name() << " -> " << prefix.str();
     }
   }
@@ -72,8 +71,7 @@ TEST(Central, FailureReportTriggersRecomputeAndPush) {
   // The pushed routes avoid the dead link.
   const auto prefix = bed.topo().subnet_of_tor.at(tor);
   const auto hops =
-      sx->fib().lookup(net::Ipv4Addr(prefix.address().value() + 10),
-                       [&](net::PortId p) { return sx->port_detected_up(p); });
+      sx->resolve_next_hops(net::Ipv4Addr(prefix.address().value() + 10));
   ASSERT_FALSE(hops.empty());
   for (const auto& nh : hops) EXPECT_NE(sx->port(nh.port).link, link);
 }

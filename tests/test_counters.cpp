@@ -63,7 +63,7 @@ TEST(SwitchCounters, ControlPacketsAreCountedNotForwarded) {
 
   int control_seen = 0;
   net::PortId control_port = net::kInvalidPort;
-  a.set_control_handler([&](net::PortId p, const net::Packet&) {
+  a.add_control_handler([&](net::PortId p, const net::Packet&) {
     ++control_seen;
     control_port = p;
   });
@@ -77,10 +77,11 @@ TEST(SwitchCounters, ControlPacketsAreCountedNotForwarded) {
   EXPECT_EQ(control_port, 2);
 
   // Without a handler the packet is still counted, not forwarded.
-  a.set_control_handler(nullptr);
-  a.receive(2, p);
-  EXPECT_EQ(a.counters().control_in, 2u);
-  EXPECT_EQ(a.counters().forwarded, 0u);
+  auto& b = net.add_switch("b", net::Ipv4Addr(10, 0, 0, 2));
+  ASSERT_EQ(b.control_handler_count(), 0u);
+  b.receive(2, p);
+  EXPECT_EQ(b.counters().control_in, 1u);
+  EXPECT_EQ(b.counters().forwarded, 0u);
 }
 
 TEST(SwitchCounters, LocalDeliveryIsCounted) {

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <initializer_list>
 #include <stdexcept>
 
 #include "routing/fib.hpp"
@@ -15,15 +16,21 @@ Route make(const char* prefix, std::vector<NextHop> hops,
   return Route{Prefix::parse(prefix), std::move(hops), source};
 }
 
-Fib::PortUpFn all_up() {
-  return [](net::PortId) { return true; };
+/// The usable next hops for `dst` with the ports in `down` detected down.
+std::vector<NextHop> lookup(const Fib& fib, Ipv4Addr dst,
+                            std::initializer_list<net::PortId> down = {}) {
+  std::vector<bool> up(16, true);
+  for (const net::PortId p : down) up[p] = false;
+  Fib::HopVec hops;
+  fib.lookup_into(dst, Fib::PortStateView{&up}, hops);
+  return {hops.begin(), hops.end()};
 }
 
 TEST(Fib, LongestPrefixWins) {
   Fib fib;
   fib.install(make("10.11.0.0/16", {{1, Ipv4Addr(1, 1, 1, 1)}}));
   fib.install(make("10.11.3.0/24", {{2, Ipv4Addr(2, 2, 2, 2)}}));
-  const auto hops = fib.lookup(Ipv4Addr(10, 11, 3, 9), all_up());
+  const auto hops = lookup(fib, Ipv4Addr(10, 11, 3, 9));
   ASSERT_EQ(hops.size(), 1u);
   EXPECT_EQ(hops[0].port, 2);
 }
@@ -31,7 +38,7 @@ TEST(Fib, LongestPrefixWins) {
 TEST(Fib, NoMatchReturnsEmpty) {
   Fib fib;
   fib.install(make("10.11.0.0/16", {{1, {}}}));
-  EXPECT_TRUE(fib.lookup(Ipv4Addr(10, 12, 0, 1), all_up()).empty());
+  EXPECT_TRUE(lookup(fib, Ipv4Addr(10, 12, 0, 1)).empty());
 }
 
 TEST(Fib, DeadNextHopFallsThroughToShorterPrefix) {
@@ -43,33 +50,26 @@ TEST(Fib, DeadNextHopFallsThroughToShorterPrefix) {
   fib.install(make("10.10.0.0/15", {{2, {}}}, RouteSource::kStatic));
 
   const Ipv4Addr dst(10, 11, 3, 9);
-  auto up_except = [](std::initializer_list<net::PortId> down) {
-    std::vector<net::PortId> dead(down);
-    return [dead](net::PortId p) {
-      return std::find(dead.begin(), dead.end(), p) == dead.end();
-    };
-  };
 
-  auto hops = fib.lookup(dst, up_except({}));
+  auto hops = lookup(fib, dst);
   ASSERT_EQ(hops.size(), 1u);
   EXPECT_EQ(hops[0].port, 0);
 
-  hops = fib.lookup(dst, up_except({0}));
+  hops = lookup(fib, dst, {0});
   ASSERT_EQ(hops.size(), 1u);
   EXPECT_EQ(hops[0].port, 1);
 
-  hops = fib.lookup(dst, up_except({0, 1}));
+  hops = lookup(fib, dst, {0, 1});
   ASSERT_EQ(hops.size(), 1u);
   EXPECT_EQ(hops[0].port, 2);
 
-  EXPECT_TRUE(fib.lookup(dst, up_except({0, 1, 2})).empty());
+  EXPECT_TRUE(lookup(fib, dst, {0, 1, 2}).empty());
 }
 
 TEST(Fib, EcmpFiltersDeadMembers) {
   Fib fib;
   fib.install(make("10.11.0.0/24", {{0, {}}, {1, {}}, {2, {}}}));
-  const auto hops = fib.lookup(Ipv4Addr(10, 11, 0, 5),
-                               [](net::PortId p) { return p != 1; });
+  const auto hops = lookup(fib, Ipv4Addr(10, 11, 0, 5), {1});
   ASSERT_EQ(hops.size(), 2u);
   EXPECT_EQ(hops[0].port, 0);
   EXPECT_EQ(hops[1].port, 2);
@@ -80,7 +80,7 @@ TEST(Fib, AdminDistancePrefersConnectedThenStatic) {
   fib.install(make("10.11.3.0/24", {{5, {}}}, RouteSource::kOspf));
   fib.install(make("10.11.3.0/24", {{6, {}}}, RouteSource::kConnected));
   fib.install(make("10.11.3.0/24", {{7, {}}}, RouteSource::kStatic));
-  const auto hops = fib.lookup(Ipv4Addr(10, 11, 3, 1), all_up());
+  const auto hops = lookup(fib, Ipv4Addr(10, 11, 3, 1));
   ASSERT_EQ(hops.size(), 1u);
   EXPECT_EQ(hops[0].port, 6);
 }
@@ -91,8 +91,7 @@ TEST(Fib, BestSourceDeadDoesNotFallToWorseSourceSamePrefix) {
   Fib fib;
   fib.install(make("10.11.3.0/24", {{5, {}}}, RouteSource::kOspf));
   fib.install(make("10.11.3.0/24", {{6, {}}}, RouteSource::kConnected));
-  const auto hops =
-      fib.lookup(Ipv4Addr(10, 11, 3, 1), [](net::PortId p) { return p != 6; });
+  const auto hops = lookup(fib, Ipv4Addr(10, 11, 3, 1), {6});
   EXPECT_TRUE(hops.empty());
 }
 
@@ -102,8 +101,8 @@ TEST(Fib, ReplaceSourceSwapsAtomically) {
   fib.install(make("10.11.2.0/24", {{2, {}}}, RouteSource::kOspf));
   fib.install(make("10.10.0.0/15", {{9, {}}}, RouteSource::kStatic));
 
-  fib.replace_source(RouteSource::kOspf,
-                     {make("10.11.3.0/24", {{3, {}}})});
+  fib.apply_source_delta(RouteSource::kOspf,
+                         {make("10.11.3.0/24", {{3, {}}})});
   EXPECT_TRUE(fib.find(Prefix::parse("10.11.1.0/24"), RouteSource::kOspf) ==
               std::nullopt);
   EXPECT_TRUE(fib.find(Prefix::parse("10.11.3.0/24"), RouteSource::kOspf)
@@ -119,7 +118,7 @@ TEST(Fib, InstallReplacesSamePrefixSameSource) {
   fib.install(make("10.11.1.0/24", {{1, {}}}));
   fib.install(make("10.11.1.0/24", {{2, {}}}));
   EXPECT_EQ(fib.size(), 1u);
-  const auto hops = fib.lookup(Ipv4Addr(10, 11, 1, 1), all_up());
+  const auto hops = lookup(fib, Ipv4Addr(10, 11, 1, 1));
   ASSERT_EQ(hops.size(), 1u);
   EXPECT_EQ(hops[0].port, 2);
 }
@@ -131,7 +130,7 @@ TEST(Fib, RemoveAndClear) {
   fib.remove(Prefix::parse("10.11.1.0/24"), RouteSource::kOspf);
   EXPECT_EQ(fib.size(), 1u);
   fib.remove(Prefix::parse("10.11.1.0/24"), RouteSource::kOspf);  // no-op
-  fib.clear_source(RouteSource::kOspf);
+  fib.apply_source_delta(RouteSource::kOspf, {});  // clears the source
   EXPECT_EQ(fib.size(), 0u);
 }
 
@@ -144,7 +143,7 @@ TEST(Fib, RejectsEmptyNextHops) {
 TEST(Fib, NextHopsSortedForDeterministicEcmp) {
   Fib fib;
   fib.install(make("10.11.0.0/24", {{3, {}}, {1, {}}, {2, {}}}));
-  const auto hops = fib.lookup(Ipv4Addr(10, 11, 0, 1), all_up());
+  const auto hops = lookup(fib, Ipv4Addr(10, 11, 0, 1));
   ASSERT_EQ(hops.size(), 3u);
   EXPECT_EQ(hops[0].port, 1);
   EXPECT_EQ(hops[1].port, 2);
@@ -178,7 +177,7 @@ TEST(NextHopGroups, CanonicalAtConstructionAndShared) {
 TEST(Fib, DefaultRouteMatchesEverything) {
   Fib fib;
   fib.install(make("0.0.0.0/0", {{7, {}}}));
-  const auto hops = fib.lookup(Ipv4Addr(192, 168, 1, 1), all_up());
+  const auto hops = lookup(fib, Ipv4Addr(192, 168, 1, 1));
   ASSERT_EQ(hops.size(), 1u);
   EXPECT_EQ(hops[0].port, 7);
 }

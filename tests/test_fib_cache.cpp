@@ -2,7 +2,7 @@
 /// the resolved-route cache. The property test is the load-bearing one —
 /// it asserts that the cached resolution is *observably identical* to the
 /// uncached walk under randomized interleavings of installs, removals,
-/// replace_source, port flaps and queries, i.e. that generation-based
+/// whole-source deltas, port flaps and queries, i.e. that generation-based
 /// invalidation never serves a stale answer. Staleness here would not be
 /// a perf bug but a correctness bug: the paper's backup fall-through
 /// (§II-B) must engage on the first lookup after detection, with zero FIB
@@ -80,16 +80,17 @@ TEST(FibGeneration, BumpsOnEveryWrite) {
   fib.remove(net::Prefix::parse("10.11.3.0/24"), RouteSource::kOspf);
   const auto g3 = fib.generation();
   EXPECT_GT(g3, g2);
-  fib.replace_source(RouteSource::kOspf,
-                     {make_route(net::Prefix::parse("10.11.4.0/24"),
-                                 {NextHop{2, {}}}, RouteSource::kOspf)});
+  fib.apply_source_delta(
+      RouteSource::kOspf,
+      {make_route(net::Prefix::parse("10.11.4.0/24"), {NextHop{2, {}}},
+                  RouteSource::kOspf)});
   const auto g4 = fib.generation();
   EXPECT_GT(g4, g3);
-  fib.clear_source(RouteSource::kOspf);
+  fib.apply_source_delta(RouteSource::kOspf, {});
   EXPECT_GT(fib.generation(), g4);
 }
 
-TEST(FibLookupInto, MatchesLookupIncludingFallthrough) {
+TEST(FibLookupInto, FiltersDeadMembersAndFallsThrough) {
   Fib fib;
   fib.install(make_route(net::Prefix::parse("10.11.3.0/24"),
                          {NextHop{0, {}}, NextHop{1, {}}},
@@ -99,23 +100,21 @@ TEST(FibLookupInto, MatchesLookupIncludingFallthrough) {
   const net::Ipv4Addr dst(10, 11, 3, 9);
 
   std::vector<bool> ports(8, true);
-  auto up = [&ports](net::PortId p) { return p >= ports.size() || ports[p]; };
   Fib::HopVec hops;
   fib.lookup_into(dst, Fib::PortStateView{&ports}, hops);
-  EXPECT_EQ(to_vector(hops), fib.lookup(dst, up));
   ASSERT_EQ(hops.size(), 2u);
+  EXPECT_EQ(hops[0].port, 0);
+  EXPECT_EQ(hops[1].port, 1);
 
   ports[0] = false;  // one ECMP member dead: filtered, no fall-through
   hops.clear();
   fib.lookup_into(dst, Fib::PortStateView{&ports}, hops);
-  EXPECT_EQ(to_vector(hops), fib.lookup(dst, up));
   ASSERT_EQ(hops.size(), 1u);
   EXPECT_EQ(hops[0].port, 1);
 
   ports[1] = false;  // whole /24 dead: falls through to the /16 static
   hops.clear();
   fib.lookup_into(dst, Fib::PortStateView{&ports}, hops);
-  EXPECT_EQ(to_vector(hops), fib.lookup(dst, up));
   ASSERT_EQ(hops.size(), 1u);
   EXPECT_EQ(hops[0].port, 2);
 
@@ -240,7 +239,7 @@ TEST(ResolvedRouteCacheProperty, CachedEqualsUncachedUnderChurn) {
       std::vector<Route> routes;
       const int n = static_cast<int>(rng.uniform_int(0, 5));
       for (int i = 0; i < n; ++i) routes.push_back(random_route(RouteSource::kOspf));
-      // replace_source keys routes by prefix; drop duplicates.
+      // A source's routes are keyed by prefix; drop duplicates.
       std::sort(routes.begin(), routes.end(),
                 [](const Route& a, const Route& b) { return a.prefix < b.prefix; });
       routes.erase(std::unique(routes.begin(), routes.end(),
@@ -248,7 +247,7 @@ TEST(ResolvedRouteCacheProperty, CachedEqualsUncachedUnderChurn) {
                                  return a.prefix == b.prefix;
                                }),
                    routes.end());
-      fib.replace_source(RouteSource::kOspf, routes);
+      fib.apply_source_delta(RouteSource::kOspf, routes);
     } else if (op == 8) {  // port flap (detection event: epoch only)
       const auto p = static_cast<std::size_t>(rng.uniform_int(0, 7));
       ports[p] = !ports[p];
@@ -259,10 +258,9 @@ TEST(ResolvedRouteCacheProperty, CachedEqualsUncachedUnderChurn) {
           10, static_cast<std::uint8_t>(rng.uniform_int(10, 13)),
           static_cast<std::uint8_t>(rng.uniform_int(0, 7)),
           static_cast<std::uint8_t>(rng.uniform_int(0, 255)));
-      const auto uncached =
-          fib.lookup(dst, [&ports](net::PortId p) {
-            return p >= ports.size() || ports[p];
-          });
+      Fib::HopVec walked;
+      fib.lookup_into(dst, Fib::PortStateView{&ports}, walked);
+      const auto uncached = to_vector(walked);
       const auto cached = to_vector(
           cache.resolve(fib, dst, Fib::PortStateView{&ports}, epoch));
       ASSERT_EQ(cached, uncached)

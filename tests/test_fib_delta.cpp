@@ -18,12 +18,15 @@ Route make(const char* prefix, std::vector<NextHop> hops,
   return Route{Prefix::parse(prefix), std::move(hops), source};
 }
 
+void install_all(Fib& fib, std::vector<Route> routes) {
+  for (Route& route : routes) fib.install(std::move(route));
+}
+
 TEST(FibDelta, IdenticalSetIsANoopAndKeepsGeneration) {
   Fib fib;
-  fib.replace_source(RouteSource::kOspf,
-                     {make("10.11.0.0/24", {{0, Ipv4Addr(1, 1, 1, 1)}}),
-                      make("10.11.1.0/24", {{1, Ipv4Addr(2, 2, 2, 2)},
-                                            {2, Ipv4Addr(3, 3, 3, 3)}})});
+  install_all(fib, {make("10.11.0.0/24", {{0, Ipv4Addr(1, 1, 1, 1)}}),
+                    make("10.11.1.0/24", {{1, Ipv4Addr(2, 2, 2, 2)},
+                                          {2, Ipv4Addr(3, 3, 3, 3)}})});
   const std::uint64_t generation = fib.generation();
   const auto before = fib.dump();
 
@@ -42,10 +45,9 @@ TEST(FibDelta, IdenticalSetIsANoopAndKeepsGeneration) {
 
 TEST(FibDelta, InstallsChangesAndRemovesStale) {
   Fib fib;
-  fib.replace_source(RouteSource::kOspf,
-                     {make("10.11.0.0/24", {{0, Ipv4Addr(1, 1, 1, 1)}}),
-                      make("10.11.1.0/24", {{1, Ipv4Addr(2, 2, 2, 2)}}),
-                      make("10.11.2.0/24", {{2, Ipv4Addr(3, 3, 3, 3)}})});
+  install_all(fib, {make("10.11.0.0/24", {{0, Ipv4Addr(1, 1, 1, 1)}}),
+                    make("10.11.1.0/24", {{1, Ipv4Addr(2, 2, 2, 2)}}),
+                    make("10.11.2.0/24", {{2, Ipv4Addr(3, 3, 3, 3)}})});
   const std::uint64_t generation = fib.generation();
 
   // Keep /24#0 unchanged, rehome /24#1, drop /24#2, add /24#3.
@@ -58,10 +60,9 @@ TEST(FibDelta, InstallsChangesAndRemovesStale) {
   EXPECT_GT(fib.generation(), generation);
 
   Fib want;
-  want.replace_source(RouteSource::kOspf,
-                      {make("10.11.0.0/24", {{0, Ipv4Addr(1, 1, 1, 1)}}),
-                       make("10.11.1.0/24", {{3, Ipv4Addr(4, 4, 4, 4)}}),
-                       make("10.11.3.0/24", {{4, Ipv4Addr(5, 5, 5, 5)}})});
+  install_all(want, {make("10.11.0.0/24", {{0, Ipv4Addr(1, 1, 1, 1)}}),
+                     make("10.11.1.0/24", {{3, Ipv4Addr(4, 4, 4, 4)}}),
+                     make("10.11.3.0/24", {{4, Ipv4Addr(5, 5, 5, 5)}})});
   EXPECT_TRUE(fib.dump() == want.dump());
 }
 
@@ -69,8 +70,7 @@ TEST(FibDelta, OtherSourcesAreUntouched) {
   Fib fib;
   fib.install(make("10.11.0.0/16", {{7, Ipv4Addr(9, 9, 9, 9)}},
                    RouteSource::kStatic));
-  fib.replace_source(RouteSource::kOspf,
-                     {make("10.11.0.0/24", {{0, Ipv4Addr(1, 1, 1, 1)}})});
+  fib.install(make("10.11.0.0/24", {{0, Ipv4Addr(1, 1, 1, 1)}}));
 
   // The OSPF set empties out; the static backup must survive.
   const std::size_t touched =
@@ -90,8 +90,7 @@ TEST(FibDelta, RejectsEmptyNextHopsLikeInstall) {
 
   // A rejected set writes nothing, not even the valid routes ahead of the
   // bad one: no install, no generation bump, no change hook.
-  fib.replace_source(RouteSource::kOspf,
-                     {make("10.11.0.0/24", {{0, Ipv4Addr(1, 1, 1, 1)}})});
+  fib.install(make("10.11.0.0/24", {{0, Ipv4Addr(1, 1, 1, 1)}}));
   const auto before = fib.dump();
   const std::uint64_t generation = fib.generation();
   int hook_calls = 0;
@@ -108,15 +107,13 @@ TEST(FibDelta, RejectsEmptyNextHopsLikeInstall) {
 }
 
 // Property: after any sequence of deltas the FIB is indistinguishable
-// from one maintained with full replace_source rewrites.
+// from a fresh one holding the static route plus the round's full set.
 TEST(FibDelta, EquivalentToReplaceSourceUnderChurn) {
   std::mt19937 rng(0xD17Au);
+  const Route static_route =
+      make("10.0.0.0/8", {{15, Ipv4Addr(8, 8, 8, 8)}}, RouteSource::kStatic);
   Fib delta_fib;
-  Fib replace_fib;
-  delta_fib.install(make("10.0.0.0/8", {{15, Ipv4Addr(8, 8, 8, 8)}},
-                         RouteSource::kStatic));
-  replace_fib.install(make("10.0.0.0/8", {{15, Ipv4Addr(8, 8, 8, 8)}},
-                           RouteSource::kStatic));
+  delta_fib.install(static_route);
 
   for (int round = 0; round < 200; ++round) {
     std::vector<Route> desired;
@@ -131,9 +128,10 @@ TEST(FibDelta, EquivalentToReplaceSourceUnderChurn) {
       desired.push_back(Route{Prefix(Ipv4Addr(10, 20, std::uint8_t(p), 0), 24),
                               std::move(hops), RouteSource::kOspf});
     }
-    auto copy = desired;
+    Fib replace_fib;
+    replace_fib.install(static_route);
+    install_all(replace_fib, desired);
     delta_fib.apply_source_delta(RouteSource::kOspf, std::move(desired));
-    replace_fib.replace_source(RouteSource::kOspf, std::move(copy));
     ASSERT_TRUE(delta_fib.dump() == replace_fib.dump())
         << "diverged at round " << round;
     ASSERT_EQ(delta_fib.size(), replace_fib.size());

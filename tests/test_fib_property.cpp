@@ -9,6 +9,13 @@
 namespace f2t::routing {
 namespace {
 
+std::vector<NextHop> lookup(const Fib& fib, net::Ipv4Addr dst,
+                            Fib::PortStateView up) {
+  Fib::HopVec hops;
+  fib.lookup_into(dst, up, hops);
+  return {hops.begin(), hops.end()};
+}
+
 /// Reference model: a plain list of routes searched linearly. Ground
 /// truth for the FIB's hash-per-length + fallthrough implementation.
 class ReferenceFib {
@@ -30,7 +37,7 @@ class ReferenceFib {
   }
 
   std::vector<NextHop> lookup(net::Ipv4Addr dst,
-                              const Fib::PortUpFn& up) const {
+                              Fib::PortStateView up) const {
     for (int length = 32; length >= 0; --length) {
       // Best source for this prefix length that contains dst.
       const Route* best = nullptr;
@@ -102,14 +109,16 @@ TEST(FibProperty, MatchesReferenceModelUnderRandomOps) {
     } else {  // lookup with a random subset of dead ports
       const std::uint64_t dead_mask =
           static_cast<std::uint64_t>(rng.uniform_int(0, 255));
-      auto up = [dead_mask](net::PortId p) {
-        return ((dead_mask >> p) & 1) == 0;
-      };
+      std::vector<bool> ports(8);
+      for (std::size_t p = 0; p < ports.size(); ++p) {
+        ports[p] = ((dead_mask >> p) & 1) == 0;
+      }
+      const Fib::PortStateView up{&ports};
       const net::Ipv4Addr dst(
           10, static_cast<std::uint8_t>(rng.uniform_int(10, 13)),
           static_cast<std::uint8_t>(rng.uniform_int(0, 7)),
           static_cast<std::uint8_t>(rng.uniform_int(0, 255)));
-      EXPECT_EQ(fib.lookup(dst, up), reference.lookup(dst, up))
+      EXPECT_EQ(lookup(fib, dst, up), reference.lookup(dst, up))
           << "step " << step << " dst " << dst.str();
     }
   }
@@ -140,13 +149,13 @@ TEST(FibProperty, ReplaceSourceMatchesRemoveAllPlusInstalls) {
     ospf.push_back(route);
     a.install(route);
   }
-  // a: installed one by one; b: replace_source in one shot.
-  b.replace_source(RouteSource::kOspf, ospf);
+  // a: installed one by one; b: the whole source in one delta.
+  b.apply_source_delta(RouteSource::kOspf, ospf);
   EXPECT_EQ(a.size(), b.size());
-  auto up = [](net::PortId) { return true; };
+  const Fib::PortStateView up{nullptr};  // every port up
   for (int i = 0; i < 20; ++i) {
     const net::Ipv4Addr dst(10, 11, static_cast<std::uint8_t>(i), 1);
-    EXPECT_EQ(a.lookup(dst, up), b.lookup(dst, up));
+    EXPECT_EQ(lookup(a, dst, up), lookup(b, dst, up));
   }
 }
 

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "core/f2tree.hpp"
+#include "core/runner.hpp"
 
 namespace f2t {
 namespace {
@@ -146,6 +149,43 @@ TEST(Recovery, C7DegradesToFatTreeBehaviour) {
   const auto f2 = run_udp_failure(f2_8, Condition::kC7);
   ASSERT_TRUE(f2.gap_found);
   EXPECT_GE(f2.loss, sim::millis(200));
+}
+
+/// The headline runs exactly as `f2tsim recover --ports 8 --condition C1`
+/// runs them with its defaults (seed 1): the loss window in ns and the
+/// packets lost. These are the numbers the CLI prints (60.12 ms, 270.4 ms,
+/// 114.1 ms), so a change that moves one has changed behaviour.
+TEST(Recovery, HeadlineRunsArePinned) {
+  struct Pin {
+    const char* topo;
+    core::ControlPlane control;
+    core::Fidelity fidelity;
+    sim::Time loss;
+    std::uint64_t lost;
+  };
+  const Pin pins[] = {
+      {"f2", core::ControlPlane::kOspf, core::Fidelity::kPacket, 60'116'920,
+       600},
+      {"fat", core::ControlPlane::kOspf, core::Fidelity::kPacket, 270'357'680,
+       2'700},
+      {"fat", core::ControlPlane::kCentral, core::Fidelity::kPacket,
+       114'100'000, 1'140},
+      {"fat", core::ControlPlane::kCentral, core::Fidelity::kFlow, 114'100'000,
+       1'140},
+  };
+  for (const Pin& pin : pins) {
+    SCOPED_TRACE(std::string(pin.topo) + " control " +
+                 std::to_string(static_cast<int>(pin.control)) +
+                 " fidelity " + std::to_string(static_cast<int>(pin.fidelity)));
+    core::RunKnobs knobs;
+    knobs.config.control_plane = pin.control;
+    knobs.fidelity = pin.fidelity;
+    const core::UdpRun run = core::run_udp_condition(
+        core::topology_builder(pin.topo, 8), Condition::kC1, knobs);
+    ASSERT_TRUE(run.ok);
+    EXPECT_EQ(run.connectivity_loss, pin.loss);
+    EXPECT_EQ(run.packets_lost, pin.lost);
+  }
 }
 
 }  // namespace

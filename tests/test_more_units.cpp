@@ -113,7 +113,7 @@ TEST(ForwardTap, ReportsIngressAndEgress) {
   auto& h2 = net.add_host("h2", net::Ipv4Addr(10, 11, 0, 11), &sw);  // port 1
   (void)h2;
   net::PortId seen_in = 99, seen_out = 99;
-  sw.set_forward_tap(
+  sw.add_forward_tap(
       [&](const net::Packet&, net::PortId in, net::PortId out) {
         seen_in = in;
         seen_out = out;

@@ -126,9 +126,8 @@ TEST_F(OspfFixture, EveryTorPrefixRoutedEverywhere) {
   for (auto* sw : bed_.topo().all_switches()) {
     for (const auto& [tor, prefix] : bed_.topo().subnet_of_tor) {
       if (tor == sw) continue;
-      const auto hops = sw->fib().lookup(
-          net::Ipv4Addr(prefix.address().value() + 10),
-          [&](net::PortId p) { return sw->port_detected_up(p); });
+      const auto hops = sw->resolve_next_hops(
+          net::Ipv4Addr(prefix.address().value() + 10));
       EXPECT_FALSE(hops.empty()) << sw->name() << " -> " << prefix.str();
     }
   }
@@ -141,9 +140,8 @@ TEST_F(OspfFixture, UpwardRoutesUseEcmp) {
       bed_.topo().subnet_of_tor.begin(), bed_.topo().subnet_of_tor.end(),
       [&](const auto& kv) { return kv.first != tor; });
   (void)remote_tor;
-  const auto hops =
-      tor->fib().lookup(net::Ipv4Addr(remote_prefix.address().value() + 10),
-                        [](net::PortId) { return true; });
+  const auto hops = tor->resolve_next_hops(
+      net::Ipv4Addr(remote_prefix.address().value() + 10));
   EXPECT_GE(hops.size(), 2u);
 }
 
@@ -170,8 +168,7 @@ TEST_F(OspfFixture, LinkFailureFloodsLsasAndReconverges) {
   // Post-convergence, sx routes to the ToR's subnet around the dead link.
   const auto prefix = topo.subnet_of_tor.at(tor);
   const auto hops =
-      sx->fib().lookup(net::Ipv4Addr(prefix.address().value() + 10),
-                       [&](net::PortId p) { return sx->port_detected_up(p); });
+      sx->resolve_next_hops(net::Ipv4Addr(prefix.address().value() + 10));
   ASSERT_FALSE(hops.empty());
   for (const auto& nh : hops) {
     EXPECT_NE(sx->port(nh.port).link, link);
@@ -188,8 +185,7 @@ TEST_F(OspfFixture, RecoveryRestoresDirectRoute) {
 
   const auto prefix = topo.subnet_of_tor.at(tor);
   const auto hops =
-      sx->fib().lookup(net::Ipv4Addr(prefix.address().value() + 10),
-                       [&](net::PortId p) { return sx->port_detected_up(p); });
+      sx->resolve_next_hops(net::Ipv4Addr(prefix.address().value() + 10));
   ASSERT_FALSE(hops.empty());
   // The direct 1-hop route is back.
   bool direct = false;

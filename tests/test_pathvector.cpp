@@ -18,9 +18,8 @@ TEST(PathVector, WarmStartInstallsRoutesEverywhere) {
   for (auto* sw : bed.topo().all_switches()) {
     for (const auto& [tor, prefix] : bed.topo().subnet_of_tor) {
       if (tor == sw) continue;
-      const auto hops = sw->fib().lookup(
-          net::Ipv4Addr(prefix.address().value() + 10),
-          [&](net::PortId p) { return sw->port_detected_up(p); });
+      const auto hops = sw->resolve_next_hops(
+          net::Ipv4Addr(prefix.address().value() + 10));
       EXPECT_FALSE(hops.empty()) << sw->name() << " -> " << prefix.str();
     }
   }
@@ -60,9 +59,8 @@ TEST(PathVector, MultipathInstallsEcmpSets) {
   std::size_t widest = 0;
   for (const auto& [remote, prefix] : bed.topo().subnet_of_tor) {
     if (remote == tor) continue;
-    const auto hops = tor->fib().lookup(
-        net::Ipv4Addr(prefix.address().value() + 10),
-        [](net::PortId) { return true; });
+    const auto hops = tor->resolve_next_hops(
+        net::Ipv4Addr(prefix.address().value() + 10));
     widest = std::max(widest, hops.size());
   }
   EXPECT_GE(widest, 2u);
@@ -108,8 +106,7 @@ TEST(PathVector, FailureWithdrawsAndReconverges) {
   // alternative would transit the rack or loop through Sx)...
   const auto prefix = bed.topo().subnet_of_tor.at(tor);
   const auto sx_hops =
-      sx->fib().lookup(net::Ipv4Addr(prefix.address().value() + 10),
-                       [&](net::PortId p) { return sx->port_detected_up(p); });
+      sx->resolve_next_hops(net::Ipv4Addr(prefix.address().value() + 10));
   EXPECT_TRUE(sx_hops.empty());
   // ...but the network as a whole reconverged: hosts in other pods reach
   // the ToR via the other aggregation switches.
@@ -145,8 +142,7 @@ TEST(PathVector, RecoveryReadvertisesFullTable) {
   // Direct route restored after the session re-establishes.
   const auto prefix = bed.topo().subnet_of_tor.at(tor);
   const auto hops =
-      sx->fib().lookup(net::Ipv4Addr(prefix.address().value() + 10),
-                       [&](net::PortId p) { return sx->port_detected_up(p); });
+      sx->resolve_next_hops(net::Ipv4Addr(prefix.address().value() + 10));
   ASSERT_FALSE(hops.empty());
   bool direct = false;
   for (const auto& nh : hops) {

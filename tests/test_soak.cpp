@@ -66,9 +66,8 @@ TEST_P(ChurnSoak, InvariantsHoldThroughChurn) {
   for (auto* sw : switches) {
     for (const auto& [tor, prefix] : bed.topo().subnet_of_tor) {
       if (tor == sw) continue;
-      const auto hops = sw->fib().lookup(
-          net::Ipv4Addr(prefix.address().value() + 10),
-          [&](net::PortId p) { return sw->port_detected_up(p); });
+      const auto hops = sw->resolve_next_hops(
+          net::Ipv4Addr(prefix.address().value() + 10));
       EXPECT_FALSE(hops.empty()) << sw->name() << " -> " << prefix.str();
     }
   }
