@@ -40,11 +40,11 @@ void ablation_equal_length_prefixes() {
     std::uint64_t ttl_drops_total = 0;
     std::uint16_t base_sport = 20000;
     while (flows < 32 && base_sport < 24000) {
-      ExperimentKnobs knobs;
+      core::RunKnobs knobs;
       knobs.horizon = sim::seconds(2);
       knobs.config.backup = equal ? core::BackupMode::kEqualLength
                                   : core::BackupMode::kPaper;
-      core::Testbed bed(f2tree_builder(8), knobs.config);
+      core::Testbed bed(core::topology_builder("f2", 8), knobs.config);
       bed.converge();
       const auto plan =
           failure::build_condition(bed.topo(), failure::Condition::kC4,
@@ -96,8 +96,8 @@ void ablation_ring_width() {
   stats::print_heading(std::cout,
                        "Ablation 2: ring width 2 vs 4 under condition C7");
   for (const int width : {2, 4}) {
-    const auto udp = run_udp_experiment(f2tree_builder(8, width),
-                                        failure::Condition::kC7);
+    const auto udp = core::run_udp_condition(
+        core::topology_builder("f2", 8, width), failure::Condition::kC7);
     if (!udp.ok) {
       std::cout << "  width " << width << ": (no C7 plan)\n";
       continue;
@@ -117,13 +117,13 @@ void ablation_spf_timer() {
                       "F2Tree loss (ms)"});
   for (const auto delay :
        {sim::millis(50), sim::millis(200), sim::millis(1000)}) {
-    ExperimentKnobs knobs;
+    core::RunKnobs knobs;
     knobs.horizon = sim::seconds(5);
     knobs.config.ospf.throttle.initial_delay = delay;
-    const auto fat = run_udp_experiment(fat_tree_builder(8),
-                                        failure::Condition::kC1, knobs);
-    const auto f2 =
-        run_udp_experiment(f2tree_builder(8), failure::Condition::kC1, knobs);
+    const auto fat = core::run_udp_condition(
+        core::topology_builder("fat", 8), failure::Condition::kC1, knobs);
+    const auto f2 = core::run_udp_condition(core::topology_builder("f2", 8),
+                                            failure::Condition::kC1, knobs);
     table.row({sim::format_time(delay),
                fat.ok ? stats::Table::num(
                             sim::to_millis(fat.connectivity_loss), 1)
@@ -151,14 +151,14 @@ void ablation_tcp_rto() {
                       "F2Tree collapse (ms)", "Gap (ms)"});
   for (const auto rto :
        {sim::millis(1), sim::millis(50), sim::millis(200)}) {
-    ExperimentKnobs knobs;
+    core::RunKnobs knobs;
     knobs.horizon = sim::seconds(4);
     knobs.tcp.initial_rto = rto;
     knobs.tcp.min_rto = rto;
-    const auto fat = run_tcp_experiment(fat_tree_builder(8),
-                                        failure::Condition::kC1, knobs);
-    const auto f2 =
-        run_tcp_experiment(f2tree_builder(8), failure::Condition::kC1, knobs);
+    const auto fat = core::run_tcp_condition(
+        core::topology_builder("fat", 8), failure::Condition::kC1, knobs);
+    const auto f2 = core::run_tcp_condition(core::topology_builder("f2", 8),
+                                            failure::Condition::kC1, knobs);
     if (!fat.ok || !f2.ok) continue;
     table.row({sim::format_time(rto),
                stats::Table::num(sim::to_millis(fat.collapse), 0),
@@ -182,7 +182,7 @@ void extension_unidirectional() {
   // case in both designs while the reverse direction keeps carrying
   // traffic until detection.
   for (const bool f2 : {false, true}) {
-    core::Testbed bed(f2 ? f2tree_builder(8) : fat_tree_builder(8));
+    core::Testbed bed(core::topology_builder(f2 ? "f2" : "fat", 8));
     bed.converge();
     const auto plan =
         failure::build_condition(bed.topo(), failure::Condition::kC1);
@@ -218,7 +218,7 @@ void extension_gray_failure() {
   // failures. A silently lossy link never trips BFD, so neither design's
   // reroute machinery engages and TCP pays the loss rate on both.
   for (const bool f2 : {false, true}) {
-    core::Testbed bed(f2 ? f2tree_builder(8) : fat_tree_builder(8));
+    core::Testbed bed(core::topology_builder(f2 ? "f2" : "fat", 8));
     bed.converge();
     const auto plan = failure::build_condition(
         bed.topo(), failure::Condition::kC1, net::Protocol::kTcp);

@@ -102,10 +102,10 @@ int main() {
     bool failure;
   };
   const std::vector<Case> cases = {
-      {"fat tree (6-port)", fat_tree_builder(6), false},
-      {"F2Tree (6-port)", f2tree_builder(6), false},
-      {"fat tree (6-port, 1 failure)", fat_tree_builder(6), true},
-      {"F2Tree (6-port, 1 failure)", f2tree_builder(6), true},
+      {"fat tree (6-port)", core::topology_builder("fat", 6), false},
+      {"F2Tree (6-port)", core::topology_builder("f2", 6), false},
+      {"fat tree (6-port, 1 failure)", core::topology_builder("fat", 6), true},
+      {"F2Tree (6-port, 1 failure)", core::topology_builder("f2", 6), true},
   };
   for (const auto& c : cases) {
     const auto r = run_permutation(c.builder, c.failure);

@@ -33,7 +33,7 @@ int main() {
        "1 ToR-agg link + both across links (SecII-C parenthetical)"},
   };
 
-  ExperimentKnobs knobs;
+  core::RunKnobs knobs;
   knobs.horizon = sim::seconds(4);
 
   stats::Table loss({"Condition", "Failures", "Fat tree loss (ms)",
@@ -50,9 +50,11 @@ int main() {
 
     if (!failure::condition_requires_f2(row.condition)) {
       const auto udp =
-          run_udp_experiment(fat_tree_builder(8), row.condition, knobs);
+          core::run_udp_condition(core::topology_builder("fat", 8),
+                                  row.condition, knobs);
       const auto tcp =
-          run_tcp_experiment(fat_tree_builder(8), row.condition, knobs);
+          core::run_tcp_condition(core::topology_builder("fat", 8),
+                                  row.condition, knobs);
       if (udp.ok) {
         fat_loss = stats::Table::num(sim::to_millis(udp.connectivity_loss), 1);
         fat_pkts = std::to_string(udp.packets_lost);
@@ -61,9 +63,11 @@ int main() {
     }
     {
       const auto udp =
-          run_udp_experiment(f2tree_builder(8), row.condition, knobs);
+          core::run_udp_condition(core::topology_builder("f2", 8),
+                                  row.condition, knobs);
       const auto tcp =
-          run_tcp_experiment(f2tree_builder(8), row.condition, knobs);
+          core::run_tcp_condition(core::topology_builder("f2", 8),
+                                  row.condition, knobs);
       if (udp.ok) {
         f2_loss = stats::Table::num(sim::to_millis(udp.connectivity_loss), 1);
         f2_pkts = std::to_string(udp.packets_lost);

@@ -47,7 +47,7 @@ int main() {
   std::cout << "F2Tree reproduction - Fig 5: end-to-end delay during "
                "failure recovery (8-port, failure at t = 380 ms)\n";
 
-  ExperimentKnobs knobs;
+  core::RunKnobs knobs;
   knobs.horizon = sim::seconds(4);
 
   struct Case {
@@ -56,11 +56,12 @@ int main() {
     failure::Condition condition;
   };
   const std::vector<Case> cases = {
-      {"fat tree / C1", fat_tree_builder(8), failure::Condition::kC1},
-      {"F2Tree / C1", f2tree_builder(8), failure::Condition::kC1},
-      {"F2Tree / C4", f2tree_builder(8), failure::Condition::kC4},
-      {"F2Tree / C5", f2tree_builder(8), failure::Condition::kC5},
-      {"F2Tree / C7", f2tree_builder(8), failure::Condition::kC7},
+      {"fat tree / C1", core::topology_builder("fat", 8),
+       failure::Condition::kC1},
+      {"F2Tree / C1", core::topology_builder("f2", 8), failure::Condition::kC1},
+      {"F2Tree / C4", core::topology_builder("f2", 8), failure::Condition::kC4},
+      {"F2Tree / C5", core::topology_builder("f2", 8), failure::Condition::kC5},
+      {"F2Tree / C7", core::topology_builder("f2", 8), failure::Condition::kC7},
   };
 
   stats::Table summary({"Case", "Baseline delay (us)",
@@ -69,7 +70,7 @@ int main() {
   std::vector<std::pair<std::string, stats::TimeSeries>> all_series;
 
   for (const auto& c : cases) {
-    const auto udp = run_udp_experiment(c.builder, c.condition, knobs);
+    const auto udp = core::run_udp_condition(c.builder, c.condition, knobs);
     if (!udp.ok) {
       summary.row({c.name, "-", "-", "-", "-"});
       continue;

@@ -199,10 +199,10 @@ int main() {
     int cf;
   };
   const std::vector<Case> cases = {
-      {"fat tree", fat_tree_builder(8), 1},
-      {"F2Tree", f2tree_builder(8), 1},
-      {"fat tree", fat_tree_builder(8), 5},
-      {"F2Tree", f2tree_builder(8), 5},
+      {"fat tree", core::topology_builder("fat", 8), 1},
+      {"F2Tree", core::topology_builder("f2", 8), 1},
+      {"fat tree", core::topology_builder("fat", 8), 5},
+      {"F2Tree", core::topology_builder("f2", 8), 5},
   };
 
   std::vector<std::pair<std::string, Fig6Result>> results;
@@ -251,7 +251,7 @@ int main() {
   stats::print_heading(std::cout,
                        "Incast fan-in sweep (fat-16, 2 KB responses, "
                        "100 ms cadence, deadline 250 ms)");
-  core::Testbed sweep_bed(fat_tree_builder(16));
+  core::Testbed sweep_bed(core::topology_builder("fat", 16));
   sweep_bed.converge();
   const sim::Time window = sim::seconds(5);
   stats::Table sweep({"Fan-in", "Rounds", "Flows", "Completed",

@@ -103,8 +103,8 @@ int main() {
          return topo::build_vl2(
              n, topo::Vl2Options{.ports = 8, .f2_rewire = true});
        }},
-      {"Fat tree (original, reference)", fat_tree_builder(8)},
-      {"Fat tree (F2, reference)", f2tree_builder(8)},
+      {"Fat tree (original, reference)", core::topology_builder("fat", 8)},
+      {"Fat tree (F2, reference)", core::topology_builder("f2", 8)},
   };
 
   stats::Table table(

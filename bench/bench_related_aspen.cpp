@@ -69,10 +69,10 @@ int main() {
                       "ToR<->agg failure loss"});
 
   {
-    core::Testbed bed(fat_tree_builder(8));
+    core::Testbed bed(core::topology_builder("fat", 8));
     table.row({"fat tree", std::to_string(bed.topo().hosts.size()),
-               fmt(measure(fat_tree_builder(8), true)),
-               fmt(measure(fat_tree_builder(8), false))});
+               fmt(measure(core::topology_builder("fat", 8), true)),
+               fmt(measure(core::topology_builder("fat", 8), false))});
   }
   {
     core::Testbed bed(aspen_builder(8, 1));
@@ -87,10 +87,10 @@ int main() {
                fmt(measure(aspen_builder(8, 3), false))});
   }
   {
-    core::Testbed bed(f2tree_builder(8));
+    core::Testbed bed(core::topology_builder("f2", 8));
     table.row({"F2Tree", std::to_string(bed.topo().hosts.size()),
-               fmt(measure(f2tree_builder(8), true)),
-               fmt(measure(f2tree_builder(8), false))});
+               fmt(measure(core::topology_builder("f2", 8), true)),
+               fmt(measure(core::topology_builder("f2", 8), false))});
   }
   table.print(std::cout);
   std::cout << "(expected: Aspen recovers core<->agg failures immediately "

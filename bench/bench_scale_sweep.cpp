@@ -36,9 +36,9 @@ using namespace f2t::bench;
 
 namespace {
 
-UdpExperiment run_scaled(const core::Testbed::TopoBuilder& builder,
+core::UdpRun run_scaled(const core::Testbed::TopoBuilder& builder,
                          core::Fidelity fidelity, bool central) {
-  ExperimentKnobs knobs;
+  core::RunKnobs knobs;
   knobs.horizon = sim::seconds(3);
   knobs.fidelity = fidelity;
   if (central) {
@@ -46,7 +46,7 @@ UdpExperiment run_scaled(const core::Testbed::TopoBuilder& builder,
   } else {
     knobs.config.ospf.spf_compute_per_router = sim::micros(100);
   }
-  return run_udp_experiment(builder, failure::Condition::kC1, knobs);
+  return core::run_udp_condition(builder, failure::Condition::kC1, knobs);
 }
 
 double ms_since(std::chrono::steady_clock::time_point start) {
@@ -55,7 +55,7 @@ double ms_since(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
-std::string fmt_loss(const UdpExperiment& e) {
+std::string fmt_loss(const core::UdpRun& e) {
   return e.ok ? stats::Table::num(sim::to_millis(e.connectivity_loss), 1)
               : "-";
 }
@@ -82,10 +82,10 @@ int main(int argc, char** argv) {
   for (const int n : {8, 12, 16, 20}) {
     const double switches = core::Scalability::fat_tree_switches(n);
     const auto wall_start = std::chrono::steady_clock::now();
-    const auto fat =
-        run_scaled(fat_tree_builder(n), core::Fidelity::kPacket, false);
-    const auto f2 =
-        run_scaled(f2tree_builder(n), core::Fidelity::kPacket, false);
+    const auto fat = run_scaled(core::topology_builder("fat", n),
+                                core::Fidelity::kPacket, false);
+    const auto f2 = run_scaled(core::topology_builder("f2", n),
+                               core::Fidelity::kPacket, false);
     const double wall_ms = ms_since(wall_start);
     table.row({std::to_string(n), stats::Table::num(switches, 0),
                fmt_loss(fat), fmt_loss(f2)});
@@ -115,10 +115,10 @@ int main(int argc, char** argv) {
   stats::Table flow_table({"Ports N", "Control", "Fat loss (ms)",
                            "F2 loss (ms)", "Sim wall (ms)"});
   for (const int n : {8, 12, 16, 20}) {
-    const auto fat =
-        run_scaled(fat_tree_builder(n), core::Fidelity::kFlow, false);
-    const auto f2 =
-        run_scaled(f2tree_builder(n), core::Fidelity::kFlow, false);
+    const auto fat = run_scaled(core::topology_builder("fat", n),
+                                core::Fidelity::kFlow, false);
+    const auto f2 = run_scaled(core::topology_builder("f2", n),
+                               core::Fidelity::kFlow, false);
     const double sim_wall_ms = (fat.observation.profile.wall_seconds +
                                 f2.observation.profile.wall_seconds) * 1e3;
     const std::string suffix = "/k=" + std::to_string(n);
@@ -176,15 +176,17 @@ int main(int argc, char** argv) {
   // flow-level mode. The >= 10x guard in scripts/run_all.sh reads this
   // pair.
   if (full) {
-    ExperimentKnobs tk;
+    core::RunKnobs tk;
     tk.horizon = sim::seconds(120);
     tk.config.ospf.spf_compute_per_router = sim::micros(100);
     tk.fidelity = core::Fidelity::kPacket;
     const auto packet =
-        run_udp_experiment(fat_tree_builder(20), failure::Condition::kC1, tk);
+        core::run_udp_condition(core::topology_builder("fat", 20),
+                                failure::Condition::kC1, tk);
     tk.fidelity = core::Fidelity::kFlow;
     const auto flow =
-        run_udp_experiment(fat_tree_builder(20), failure::Condition::kC1, tk);
+        core::run_udp_condition(core::topology_builder("fat", 20),
+                                failure::Condition::kC1, tk);
     const double packet_ms = packet.observation.profile.wall_seconds * 1e3;
     const double flow_ms = flow.observation.profile.wall_seconds * 1e3;
     results.push_back({"sim_wall/packet/k=20", "wall_time", packet_ms, "ms"});

@@ -103,8 +103,8 @@ int main() {
                       "F2Tree loss (ms)", "F2Tree updates"});
   for (const auto mrai :
        {sim::millis(10), sim::millis(100), sim::millis(500)}) {
-    const auto fat = run_pv(fat_tree_builder(8), mrai);
-    const auto f2 = run_pv(f2tree_builder(8), mrai);
+    const auto fat = run_pv(core::topology_builder("fat", 8), mrai);
+    const auto f2 = run_pv(core::topology_builder("f2", 8), mrai);
     table.row({sim::format_time(mrai),
                stats::Table::num(sim::to_millis(fat.loss), 1),
                std::to_string(fat.updates),
@@ -122,8 +122,8 @@ int main() {
   for (const auto mrai :
        {sim::millis(10), sim::millis(100), sim::millis(500),
         sim::seconds(2)}) {
-    const auto fat = run_pv_flap(fat_tree_builder(8), mrai);
-    const auto f2 = run_pv_flap(f2tree_builder(8), mrai);
+    const auto fat = run_pv_flap(core::topology_builder("fat", 8), mrai);
+    const auto f2 = run_pv_flap(core::topology_builder("f2", 8), mrai);
     flap.row({sim::format_time(mrai),
               stats::Table::num(sim::to_millis(fat.loss), 1),
               stats::Table::num(sim::to_millis(f2.loss), 1)});

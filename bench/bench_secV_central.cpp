@@ -55,8 +55,8 @@ int main() {
   for (const auto compute :
        {sim::millis(10), sim::millis(30), sim::millis(100),
         sim::millis(300)}) {
-    const auto fat = run_central(fat_tree_builder(8), compute);
-    const auto f2 = run_central(f2tree_builder(8), compute);
+    const auto fat = run_central(core::topology_builder("fat", 8), compute);
+    const auto f2 = run_central(core::topology_builder("f2", 8), compute);
     table.row({sim::format_time(compute),
                stats::Table::num(sim::to_millis(fat), 1),
                stats::Table::num(sim::to_millis(f2), 1)});

@@ -265,7 +265,8 @@ int main() {
               << (r.equivalent ? "" : "  [MISMATCH]")
               << (r.all_incremental ? "" : "  [FELL BACK TO FULL]") << "\n";
     ok = ok && r.equivalent && r.all_incremental;
-    const std::string k = "/" + std::to_string(c.ports);
+    std::string k = "/";
+    k += std::to_string(c.ports);
     results.push_back({"SpfFullLinkFailure" + k, "real_time",
                        r.full_ns_per_run, "ns"});
     results.push_back({"SpfIncrementalLinkFailure" + k, "real_time",

@@ -19,17 +19,21 @@ int main() {
                "at t = 380 ms; detection 60 ms, SPF timer 200 ms, FIB update "
                "10 ms.\n";
 
-  ExperimentKnobs knobs;
+  core::RunKnobs knobs;
   knobs.horizon = sim::seconds(4);
 
   const auto fat_udp =
-      run_udp_experiment(fat_tree_builder(4), failure::Condition::kC1, knobs);
+      core::run_udp_condition(core::topology_builder("fat", 4),
+                              failure::Condition::kC1, knobs);
   const auto f2_udp =
-      run_udp_experiment(f2tree_builder(4), failure::Condition::kC1, knobs);
+      core::run_udp_condition(core::topology_builder("f2", 4),
+                              failure::Condition::kC1, knobs);
   const auto fat_tcp =
-      run_tcp_experiment(fat_tree_builder(4), failure::Condition::kC1, knobs);
+      core::run_tcp_condition(core::topology_builder("fat", 4),
+                              failure::Condition::kC1, knobs);
   const auto f2_tcp =
-      run_tcp_experiment(f2tree_builder(4), failure::Condition::kC1, knobs);
+      core::run_tcp_condition(core::topology_builder("f2", 4),
+                              failure::Condition::kC1, knobs);
   if (!fat_udp.ok || !f2_udp.ok || !fat_tcp.ok || !f2_tcp.ok) {
     std::cerr << "scenario construction failed\n";
     return 1;

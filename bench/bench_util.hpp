@@ -1,8 +1,8 @@
 #pragma once
 
-/// Shared aliases for the paper-reproduction benches: the actual
-/// experiment drivers live in the library (core/runner.hpp) so the CLI
-/// tool and the tests use exactly the same code paths. Also provides the
+/// Shared helpers for the paper-reproduction benches, which call the
+/// library's experiment runners (core/runner.hpp) directly, so the CLI
+/// tool and the tests use exactly the same code paths. Provides the
 /// machine-readable result sink: every bench can emit a BENCH_<name>.json
 /// so the perf trajectory is tracked across PRs instead of living in
 /// scrollback.
@@ -17,32 +17,6 @@
 #include "core/runner.hpp"
 
 namespace f2t::bench {
-
-using core::Testbed;
-
-using ExperimentKnobs = core::RunKnobs;
-using UdpExperiment = core::UdpRun;
-using TcpExperiment = core::TcpRun;
-
-inline Testbed::TopoBuilder fat_tree_builder(int ports) {
-  return core::topology_builder("fat", ports);
-}
-
-inline Testbed::TopoBuilder f2tree_builder(int ports, int ring_width = 2) {
-  return core::topology_builder("f2", ports, ring_width);
-}
-
-inline UdpExperiment run_udp_experiment(const Testbed::TopoBuilder& builder,
-                                        failure::Condition condition,
-                                        const ExperimentKnobs& knobs = {}) {
-  return core::run_udp_condition(builder, condition, knobs);
-}
-
-inline TcpExperiment run_tcp_experiment(const Testbed::TopoBuilder& builder,
-                                        failure::Condition condition,
-                                        const ExperimentKnobs& knobs = {}) {
-  return core::run_tcp_condition(builder, condition, knobs);
-}
 
 #ifndef F2T_GIT_REV
 #define F2T_GIT_REV "unknown"

@@ -7,6 +7,7 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "core/cli.hpp"
 #include "core/runner.hpp"
 #include "net/network.hpp"
 #include "sim/random.hpp"
@@ -21,15 +22,51 @@ namespace {
 /// the simulation stream that runs it (both derive from the shard seed).
 constexpr std::uint64_t kRandomSiteDrawStream = 0x5117eed;
 
-failure::Condition parse_condition_name(const std::string& text) {
-  for (const auto c :
-       {failure::Condition::kC1, failure::Condition::kC2,
-        failure::Condition::kC3, failure::Condition::kC4,
-        failure::Condition::kC5, failure::Condition::kC6,
-        failure::Condition::kC7, failure::Condition::kC8}) {
+/// Table IV's structural conditions C1..C7: what "all" names in a spec's
+/// and a campaign command's conditions.
+std::vector<failure::Condition> table_iv_conditions() {
+  using failure::Condition;
+  return {Condition::kC1, Condition::kC2, Condition::kC3, Condition::kC4,
+          Condition::kC5, Condition::kC6, Condition::kC7};
+}
+
+/// Throws std::invalid_argument with the streamed `parts` as its message.
+template <typename... Parts>
+[[noreturn]] void reject(const Parts&... parts) {
+  std::ostringstream os;
+  (os << ... << parts);
+  throw std::invalid_argument(os.str());
+}
+
+failure::Condition parse_condition(const std::string& text) {
+  for (int i = 0; i <= static_cast<int>(failure::Condition::kC8); ++i) {
+    const auto c = static_cast<failure::Condition>(i);
     if (text == failure::condition_name(c)) return c;
   }
-  throw std::invalid_argument("campaign: unknown condition \"" + text + "\"");
+  reject("unknown condition \"", text, "\" (C1..C8)");
+}
+
+failure::FaultKind parse_fault(const std::string& text) {
+  const auto kind = failure::parse_fault_kind(text);
+  if (!kind) reject("unknown fault \"", text, "\" (cut|unidir|gray|flap)");
+  return *kind;
+}
+
+/// Throws unless `value` is one of `names`.
+void check_name(const char* what, const std::string& value,
+                std::initializer_list<std::string_view> names) {
+  if (std::find(names.begin(), names.end(), value) != names.end()) return;
+  std::string list;
+  for (const std::string_view name : names) {
+    if (!list.empty()) list += '|';
+    list += name;
+  }
+  reject("unknown ", what, " \"", value, "\" (", list, ")");
+}
+
+/// Throws unless `value >= min`.
+void check_at_least(const char* what, std::int64_t value, std::int64_t min) {
+  if (value < min) reject(what, " must be >= ", min, ", got ", value);
 }
 
 void check_known_keys(const json::Value& obj,
@@ -70,8 +107,59 @@ std::string CampaignSpec::TopologyAxis::label() const {
   return name + "-" + std::to_string(ports);
 }
 
+CampaignSpec::TopologyAxis CampaignSpec::TopologyAxis::from_flags(Cli& cli) {
+  TopologyAxis axis;
+  axis.name = cli.get("topo", axis.name);
+  axis.ports = cli.get_int("ports", axis.ports);
+  axis.ring_width = cli.get_int("ring-width", axis.ring_width);
+  axis.aspen_f = cli.get_int("aspen-f", axis.aspen_f);
+  return axis;
+}
+
 CampaignSpec CampaignSpec::parse(std::string_view text) {
   return from_json(json::parse(text));
+}
+
+void CampaignSpec::validate() const {
+  if (topologies.empty()) reject("no topologies");
+  for (const std::string& control : controls) {
+    check_name("control", control, {"ospf", "central", "bgp"});
+  }
+  if (link_sites < -1) {
+    reject("link_sites must be >= 0 or \"all\", got ", link_sites);
+  }
+  check_at_least("seeds", seeds, 1);
+  if (horizon <= fail_at) reject("horizon_ms must exceed fail_at_ms");
+  check_name("detection", detection, {"oracle", "probe"});
+  check_at_least("bfd_tx_ms", bfd_tx_ms, 1);
+  check_at_least("bfd_multiplier", bfd_multiplier, 1);
+  if (!(gray_loss >= 0 && gray_loss <= 1)) {
+    reject("gray_loss must be in [0, 1], got ", gray_loss);
+  }
+  check_at_least("flap_period_ms", flap_period_ms, 1);
+  check_at_least("flap_cycles", flap_cycles, 1);
+  check_name("fidelity", fidelity, {"packet", "flow"});
+  check_at_least("sample_interval_ms", sample_interval_ms, 0);
+  check_at_least("random_sites", random_sites, 0);
+  if (workload.enabled) {
+    check_name("workload kind", workload.kind, {"poisson", "incast"});
+    check_name("workload size_dist", workload.size_dist,
+               {"websearch", "datamining"});
+    if (!(workload.load > 0 && workload.load <= 1)) {
+      reject("workload load must be in (0, 1], got ", workload.load);
+    }
+    check_at_least("workload fanin", workload.fanin, 1);
+    check_at_least("workload flow_bytes", workload.flow_bytes, 1);
+    check_at_least("workload deadline_ms", workload.deadline_ms, 0);
+    if (fidelity == "flow") {
+      reject("workload requires packet fidelity (the fluid probe has no host "
+             "stacks to carry TCP flows)");
+    }
+  }
+  if (conditions.empty() && link_sites == 0 && random_sites == 0) {
+    reject("no failure sites (need conditions, link_sites and/or "
+           "random_sites)");
+  }
 }
 
 CampaignSpec CampaignSpec::from_json(const json::Value& doc) {
@@ -84,117 +172,65 @@ CampaignSpec CampaignSpec::from_json(const json::Value& doc) {
                     "trace", "sample_interval_ms", "random_sites", "workload"},
                    "spec");
   CampaignSpec spec;
+  const auto int_or = [&doc](std::string_view key, int fallback) {
+    return static_cast<int>(doc.int_or(key, fallback));
+  };
   spec.name = doc.string_or("name", spec.name);
-
-  const json::Value& topologies = doc.at("topologies");
-  for (const json::Value& t : topologies.as_array()) {
+  for (const json::Value& t : doc.at("topologies").as_array()) {
     check_known_keys(t, {"name", "ports", "ring_width", "aspen_f"},
                      "topologies[]");
     TopologyAxis axis;
     axis.name = t.at("name").as_string();
     axis.ports = static_cast<int>(t.at("ports").as_int());
-    axis.ring_width = static_cast<int>(t.int_or("ring_width", 2));
-    axis.aspen_f = static_cast<int>(t.int_or("aspen_f", 1));
+    axis.ring_width = static_cast<int>(t.int_or("ring_width", axis.ring_width));
+    axis.aspen_f = static_cast<int>(t.int_or("aspen_f", axis.aspen_f));
     spec.topologies.push_back(std::move(axis));
   }
-  if (spec.topologies.empty()) {
-    throw std::invalid_argument("campaign: empty \"topologies\"");
-  }
-
   if (const json::Value* controls = doc.find("controls")) {
+    std::vector<std::string> names;
     for (const json::Value& c : controls->as_array()) {
-      const std::string& name = c.as_string();
-      if (name != "ospf" && name != "central" && name != "bgp") {
-        throw std::invalid_argument("campaign: unknown control \"" + name +
-                                    "\"");
-      }
-      spec.controls.push_back(name);
+      names.push_back(c.as_string());
     }
+    if (!names.empty()) spec.controls = std::move(names);
   }
-  if (spec.controls.empty()) spec.controls = {"ospf"};
-
   if (const json::Value* conditions = doc.find("conditions")) {
     if (conditions->is_string() && conditions->as_string() == "all") {
-      spec.conditions = {failure::Condition::kC1, failure::Condition::kC2,
-                         failure::Condition::kC3, failure::Condition::kC4,
-                         failure::Condition::kC5, failure::Condition::kC6,
-                         failure::Condition::kC7};
+      spec.conditions = table_iv_conditions();
     } else {
       for (const json::Value& c : conditions->as_array()) {
-        spec.conditions.push_back(parse_condition_name(c.as_string()));
+        spec.conditions.push_back(parse_condition(c.as_string()));
       }
     }
   }
-
   if (const json::Value* sites = doc.find("link_sites")) {
-    if (sites->is_string() && sites->as_string() == "all") {
-      spec.link_sites = -1;
-    } else {
-      spec.link_sites = static_cast<int>(sites->as_int());
-      if (spec.link_sites < 0) {
-        throw std::invalid_argument("campaign: negative link_sites");
-      }
-    }
+    spec.link_sites = sites->is_string() && sites->as_string() == "all"
+                          ? -1
+                          : static_cast<int>(sites->as_int());
   }
-  spec.seeds = static_cast<int>(doc.int_or("seeds", 1));
-  if (spec.seeds < 1) throw std::invalid_argument("campaign: seeds < 1");
-  spec.base_seed = static_cast<std::uint64_t>(doc.int_or("base_seed", 1));
-  spec.detection_ms = static_cast<int>(doc.int_or("detection_ms", 60));
-  spec.spf_ms = static_cast<int>(doc.int_or("spf_ms", 200));
-  spec.fail_at = sim::millis(doc.int_or("fail_at_ms", 380));
-  spec.horizon = sim::millis(doc.int_or("horizon_ms", 3000));
-  if (spec.horizon <= spec.fail_at) {
-    throw std::invalid_argument("campaign: horizon_ms <= fail_at_ms");
-  }
-
+  spec.seeds = int_or("seeds", spec.seeds);
+  spec.base_seed = static_cast<std::uint64_t>(
+      doc.int_or("base_seed", static_cast<std::int64_t>(spec.base_seed)));
+  spec.detection_ms = int_or("detection_ms", spec.detection_ms);
+  spec.spf_ms = int_or("spf_ms", spec.spf_ms);
+  spec.fail_at =
+      sim::millis(doc.int_or("fail_at_ms", spec.fail_at / sim::millis(1)));
+  spec.horizon =
+      sim::millis(doc.int_or("horizon_ms", spec.horizon / sim::millis(1)));
   spec.detection = doc.string_or("detection", spec.detection);
-  if (spec.detection != "oracle" && spec.detection != "probe") {
-    throw std::invalid_argument("campaign: unknown detection \"" +
-                                spec.detection + "\" (oracle|probe)");
-  }
-  spec.bfd_tx_ms = static_cast<int>(doc.int_or("bfd_tx_ms", spec.bfd_tx_ms));
-  spec.bfd_multiplier =
-      static_cast<int>(doc.int_or("bfd_multiplier", spec.bfd_multiplier));
-  if (spec.bfd_tx_ms < 1 || spec.bfd_multiplier < 1) {
-    throw std::invalid_argument("campaign: bfd_tx_ms/bfd_multiplier < 1");
-  }
+  spec.bfd_tx_ms = int_or("bfd_tx_ms", spec.bfd_tx_ms);
+  spec.bfd_multiplier = int_or("bfd_multiplier", spec.bfd_multiplier);
   spec.dampening = doc.bool_or("dampening", spec.dampening);
   if (const json::Value* fault = doc.find("fault")) {
-    const auto kind = failure::parse_fault_kind(fault->as_string());
-    if (!kind) {
-      throw std::invalid_argument("campaign: unknown fault \"" +
-                                  fault->as_string() +
-                                  "\" (cut|unidir|gray|flap)");
-    }
-    spec.fault = *kind;
+    spec.fault = parse_fault(fault->as_string());
   }
   spec.gray_loss = doc.number_or("gray_loss", spec.gray_loss);
-  if (spec.gray_loss < 0 || spec.gray_loss > 1) {
-    throw std::invalid_argument("campaign: gray_loss outside [0, 1]");
-  }
-  spec.flap_period_ms =
-      static_cast<int>(doc.int_or("flap_period_ms", spec.flap_period_ms));
-  spec.flap_cycles =
-      static_cast<int>(doc.int_or("flap_cycles", spec.flap_cycles));
-  if (spec.flap_period_ms < 1 || spec.flap_cycles < 1) {
-    throw std::invalid_argument("campaign: flap_period_ms/flap_cycles < 1");
-  }
+  spec.flap_period_ms = int_or("flap_period_ms", spec.flap_period_ms);
+  spec.flap_cycles = int_or("flap_cycles", spec.flap_cycles);
   spec.fidelity = doc.string_or("fidelity", spec.fidelity);
-  if (spec.fidelity != "packet" && spec.fidelity != "flow") {
-    throw std::invalid_argument("campaign: unknown fidelity \"" +
-                                spec.fidelity + "\" (packet|flow)");
-  }
   spec.trace = doc.bool_or("trace", spec.trace);
-  spec.sample_interval_ms = static_cast<int>(
-      doc.int_or("sample_interval_ms", spec.sample_interval_ms));
-  if (spec.sample_interval_ms < 0) {
-    throw std::invalid_argument("campaign: negative sample_interval_ms");
-  }
-  spec.random_sites =
-      static_cast<int>(doc.int_or("random_sites", spec.random_sites));
-  if (spec.random_sites < 0) {
-    throw std::invalid_argument("campaign: negative random_sites");
-  }
+  spec.sample_interval_ms =
+      int_or("sample_interval_ms", spec.sample_interval_ms);
+  spec.random_sites = int_or("random_sites", spec.random_sites);
   if (const json::Value* workload = doc.find("workload")) {
     check_known_keys(*workload,
                      {"kind", "size_dist", "load", "fanin", "flow_bytes",
@@ -203,46 +239,93 @@ CampaignSpec CampaignSpec::from_json(const json::Value& doc) {
     WorkloadAxis& wl = spec.workload;
     wl.enabled = true;
     wl.kind = workload->string_or("kind", wl.kind);
-    if (wl.kind != "poisson" && wl.kind != "incast") {
-      throw std::invalid_argument("campaign: unknown workload kind \"" +
-                                  wl.kind + "\" (poisson|incast)");
-    }
     wl.size_dist = workload->string_or("size_dist", wl.size_dist);
-    if (wl.size_dist != "websearch" && wl.size_dist != "datamining") {
-      throw std::invalid_argument("campaign: unknown workload size_dist \"" +
-                                  wl.size_dist +
-                                  "\" (websearch|datamining)");
-    }
     wl.load = workload->number_or("load", wl.load);
-    if (!(wl.load > 0) || wl.load > 1) {
-      throw std::invalid_argument("campaign: workload load outside (0, 1]");
-    }
     wl.fanin = static_cast<int>(workload->int_or("fanin", wl.fanin));
-    if (wl.fanin < 1) {
-      throw std::invalid_argument("campaign: workload fanin < 1");
-    }
-    wl.flow_bytes = static_cast<std::uint64_t>(workload->int_or(
-        "flow_bytes", static_cast<std::int64_t>(wl.flow_bytes)));
-    if (wl.flow_bytes < 1) {
-      throw std::invalid_argument("campaign: workload flow_bytes < 1");
-    }
+    wl.flow_bytes = workload->int_or("flow_bytes", wl.flow_bytes);
     wl.deadline_ms =
         static_cast<int>(workload->int_or("deadline_ms", wl.deadline_ms));
-    if (wl.deadline_ms < 0) {
-      throw std::invalid_argument("campaign: negative workload deadline_ms");
-    }
-    if (spec.fidelity == "flow") {
-      throw std::invalid_argument(
-          "campaign: workload requires packet fidelity (the fluid probe "
-          "has no host stacks to carry TCP flows)");
+  }
+  spec.validate();
+  return spec;
+}
+
+namespace {
+
+/// The run-setting flags `f2tsim recover` and ad hoc `f2tsim campaign`
+/// share, read over `spec`'s current values.
+void read_shared_flags(Cli& cli, CampaignSpec& spec) {
+  spec.topologies = {CampaignSpec::TopologyAxis::from_flags(cli)};
+  spec.controls = {cli.get("control", spec.controls.front())};
+  spec.detection_ms = cli.get_int("detection-ms", spec.detection_ms);
+  spec.spf_ms = cli.get_int("spf-ms", spec.spf_ms);
+  spec.detection = cli.get("detection", spec.detection);
+  spec.bfd_tx_ms = cli.get_int("bfd-tx-ms", spec.bfd_tx_ms);
+  spec.bfd_multiplier = cli.get_int("bfd-multiplier", spec.bfd_multiplier);
+  if (cli.get_flag("no-dampening")) spec.dampening = false;
+  spec.fault =
+      parse_fault(cli.get("fault", failure::fault_kind_name(spec.fault)));
+  spec.gray_loss = cli.get_double("gray-loss", spec.gray_loss);
+  spec.flap_period_ms = cli.get_int("flap-period-ms", spec.flap_period_ms);
+  spec.flap_cycles = cli.get_int("flap-cycles", spec.flap_cycles);
+  spec.fidelity = cli.get("fidelity", spec.fidelity);
+  // The workload's other flags are read (so marked known) even
+  // without --workload, where they are inert.
+  CampaignSpec::WorkloadAxis& wl = spec.workload;
+  const std::string kind = cli.get("workload", "");
+  wl.size_dist = cli.get("size-dist", wl.size_dist);
+  wl.load = cli.get_double("wl-load", wl.load);
+  wl.fanin = cli.get_int("wl-fanin", wl.fanin);
+  wl.flow_bytes =
+      cli.get_int("wl-flow-bytes", static_cast<int>(wl.flow_bytes));
+  wl.deadline_ms = cli.get_int("wl-deadline-ms", wl.deadline_ms);
+  if (!kind.empty()) {
+    wl.enabled = true;
+    wl.kind = kind;
+  }
+}
+
+}  // namespace
+
+CampaignSpec CampaignSpec::from_recover_flags(Cli& cli) {
+  CampaignSpec spec;
+  spec.conditions = {parse_condition(cli.get("condition", "C1"))};
+  spec.base_seed = static_cast<std::uint64_t>(
+      cli.get_int("seed", static_cast<int>(spec.base_seed)));
+  read_shared_flags(cli, spec);
+  spec.validate();
+  return spec;
+}
+
+CampaignSpec CampaignSpec::from_campaign_flags(Cli& cli) {
+  CampaignSpec spec;
+  spec.name = cli.get("name", "cli");
+  const std::string conditions = cli.get("conditions", "");
+  if (conditions == "all") {
+    spec.conditions = table_iv_conditions();
+  } else if (!conditions.empty()) {
+    std::istringstream in(conditions);
+    std::string token;
+    while (std::getline(in, token, ',')) {
+      spec.conditions.push_back(parse_condition(token));
     }
   }
+  spec.link_sites = cli.get("link-sites", "") == "all"
+                        ? -1
+                        : cli.get_int("link-sites", spec.link_sites);
+  spec.random_sites = cli.get_int("random-sites", spec.random_sites);
+  spec.seeds = cli.get_int("seeds", spec.seeds);
+  spec.base_seed = static_cast<std::uint64_t>(
+      cli.get_int("base-seed", static_cast<int>(spec.base_seed)));
+  if (cli.get_flag("trace")) spec.trace = true;
+  spec.sample_interval_ms =
+      cli.get_int("sample-interval-ms", spec.sample_interval_ms);
   if (spec.conditions.empty() && spec.link_sites == 0 &&
       spec.random_sites == 0) {
-    throw std::invalid_argument(
-        "campaign: no failure sites (need conditions, link_sites and/or "
-        "random_sites)");
+    spec.conditions = table_iv_conditions();
   }
+  read_shared_flags(cli, spec);
+  spec.validate();
   return spec;
 }
 
@@ -511,21 +594,12 @@ std::vector<SurvivabilityAggregate> aggregate_survivability(
 CampaignSpec survivability_spec(
     const std::vector<CampaignSpec::TopologyAxis>& topologies, int draws,
     std::uint64_t base_seed) {
-  if (topologies.empty()) {
-    throw std::invalid_argument("survivability_spec: no topologies");
-  }
-  if (draws < 1) {
-    throw std::invalid_argument("survivability_spec: draws < 1");
-  }
   CampaignSpec spec;
   spec.name = "survivability";
   spec.topologies = topologies;
-  spec.controls = {"ospf"};
-  spec.conditions.clear();
-  spec.link_sites = 0;
   spec.random_sites = draws;
-  spec.seeds = 1;
   spec.base_seed = base_seed;
+  spec.validate();
   return spec;
 }
 

@@ -13,12 +13,17 @@
 
 namespace f2t::core {
 
+class Cli;
+
 /// Declarative description of a failure-injection campaign: the cartesian
 /// matrix of topologies x control planes x failure sites x seed
 /// replicates, plus the shared run knobs. Parsed from a user-authored
 /// JSON spec (`f2tsim campaign --spec`), echoed verbatim into every
 /// campaign artifact so a result file names the experiment that produced
-/// it.
+/// it. It is also the one description of a run's settings on the command
+/// line: `f2tsim recover` runs a one-condition spec and an ad hoc
+/// `f2tsim campaign` a spec built from flags. The member initialisers are
+/// the defaults of every surface, and validate() holds every rule.
 ///
 /// Failure sites come from two enumerators:
 ///  - `conditions`: the paper's Table IV structural conditions (C1..C8),
@@ -38,11 +43,14 @@ struct CampaignSpec {
 
     /// "f2-8", the label used in run records and aggregate keys.
     std::string label() const;
+    /// Reads --topo, --ports, --ring-width and --aspen-f: the axis of
+    /// every f2tsim command that builds a topology.
+    static TopologyAxis from_flags(Cli& cli);
   };
 
   std::string name = "campaign";
   std::vector<TopologyAxis> topologies;
-  std::vector<std::string> controls;  ///< "ospf" | "central" | "bgp"
+  std::vector<std::string> controls{"ospf"};  ///< "ospf"|"central"|"bgp"
   std::vector<failure::Condition> conditions;
   int link_sites = 0;  ///< first N switch links as sites; -1 = all
   int seeds = 1;       ///< replicates per (topology, control, site)
@@ -83,7 +91,7 @@ struct CampaignSpec {
   /// flow-size CDF, or periodic incast fan-in rounds — and the per-run
   /// records gain the tail-latency SLO rollup (FCT p50/p99/p999,
   /// deadline-miss split by the failure window). Packet fidelity only
-  /// (the fluid probe has no host stacks); from_json rejects the
+  /// (the fluid probe has no host stacks); validate() rejects the
   /// combination. Default disabled: the spec key, the per-run fields and
   /// the aggregate "slo" section are all omitted, keeping older
   /// artifacts byte-identical.
@@ -93,7 +101,7 @@ struct CampaignSpec {
     std::string size_dist = "websearch";  ///< "websearch" | "datamining"
     double load = 0.1;  ///< poisson: offered load, fraction of host uplink
     int fanin = 8;      ///< incast: workers per aggregation round
-    std::uint64_t flow_bytes = 20'000;  ///< incast: per-worker bytes
+    std::int64_t flow_bytes = 20'000;  ///< incast: per-worker bytes
     int deadline_ms = 250;  ///< per-flow deadline; 0 = best-effort
   };
   WorkloadAxis workload;
@@ -109,11 +117,34 @@ struct CampaignSpec {
   /// section are omitted, keeping older artifacts byte-identical.
   int random_sites = 0;
 
+  /// Throws std::invalid_argument naming the first setting outside its
+  /// accepted names or range (or a spec with no topology or failure
+  /// site). Every reader ends in it, so an invalid value fails with the
+  /// same message from a JSON spec and from either command's flags.
+  void validate() const;
+
   /// Builds a spec from parsed JSON; throws std::invalid_argument on
   /// missing/mistyped fields and on unknown keys (typos must fail loudly,
   /// not silently run a default campaign).
   static CampaignSpec from_json(const json::Value& doc);
   static CampaignSpec parse(std::string_view text);
+
+  /// Command-line readers. Both read the run-setting flags the two
+  /// commands share (--topo/--ports/--ring-width/--aspen-f, --control,
+  /// --detection-ms, --spf-ms, --detection, --bfd-tx-ms,
+  /// --bfd-multiplier, --no-dampening, --fault, --gray-loss,
+  /// --flap-period-ms, --flap-cycles, --fidelity and the --workload
+  /// family) plus their own command's, and nothing else, so the Cli
+  /// still reports another command's flags as unknown.
+  ///
+  /// `f2tsim recover`: one --condition (C1 unless given) and --seed as
+  /// the base seed, which recover runs as is.
+  static CampaignSpec from_recover_flags(Cli& cli);
+  /// Ad hoc `f2tsim campaign`: --name ("cli" unless given),
+  /// --conditions C1,..|all, --link-sites N|all, --random-sites,
+  /// --seeds, --base-seed, --trace and --sample-interval-ms. With no
+  /// failure site given it sweeps Table IV's C1..C7.
+  static CampaignSpec from_campaign_flags(Cli& cli);
 
   /// Canonical JSON echo (stable field order, independent of the input's
   /// textual layout) — part of the deterministic campaign artifact.

@@ -34,24 +34,28 @@ int Cli::get_int(const std::string& key, int fallback) {
   touched_[key] = true;
   const auto it = values_.find(key);
   if (it == values_.end()) return fallback;
+  std::size_t used = 0;
   try {
-    return std::stoi(it->second);
+    const int value = std::stoi(it->second, &used);
+    if (used == it->second.size()) return value;
   } catch (const std::exception&) {
-    throw std::invalid_argument("--" + key + " expects an integer, got '" +
-                                it->second + "'");
   }
+  throw std::invalid_argument("--" + key + " expects an integer, got '" +
+                              it->second + "'");
 }
 
 double Cli::get_double(const std::string& key, double fallback) {
   touched_[key] = true;
   const auto it = values_.find(key);
   if (it == values_.end()) return fallback;
+  std::size_t used = 0;
   try {
-    return std::stod(it->second);
+    const double value = std::stod(it->second, &used);
+    if (used == it->second.size()) return value;
   } catch (const std::exception&) {
-    throw std::invalid_argument("--" + key + " expects a number, got '" +
-                                it->second + "'");
   }
+  throw std::invalid_argument("--" + key + " expects a number, got '" +
+                              it->second + "'");
 }
 
 bool Cli::get_flag(const std::string& key) {

@@ -20,7 +20,8 @@ class Cli {
   const std::string& command() const { return command_; }
   bool has_command() const { return !command_.empty(); }
 
-  /// Typed getters; each records the key as known.
+  /// Typed getters; each records the key as known. A numeric value must
+  /// be consumed whole ("4x" and "4.9" are not integers).
   std::string get(const std::string& key, const std::string& fallback);
   int get_int(const std::string& key, int fallback);
   double get_double(const std::string& key, double fallback);

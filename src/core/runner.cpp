@@ -14,22 +14,6 @@
 
 namespace f2t::core {
 
-bool parse_fidelity(const std::string& name, Fidelity& out) {
-  if (name == "packet") {
-    out = Fidelity::kPacket;
-    return true;
-  }
-  if (name == "flow") {
-    out = Fidelity::kFlow;
-    return true;
-  }
-  return false;
-}
-
-const char* fidelity_name(Fidelity fidelity) {
-  return fidelity == Fidelity::kFlow ? "flow" : "packet";
-}
-
 Testbed::TopoBuilder topology_builder(const std::string& name, int ports,
                                       int ring_width, int aspen_f) {
   if (name == "fat") {

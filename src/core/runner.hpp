@@ -33,11 +33,6 @@ Testbed::TopoBuilder topology_builder(const std::string& name, int ports,
 /// refuse gray faults, probe/BFD detection and TCP (per-packet physics).
 enum class Fidelity { kPacket, kFlow };
 
-/// Parses "packet" / "flow"; returns kPacket for anything else via the
-/// bool out-param being set false.
-bool parse_fidelity(const std::string& name, Fidelity& out);
-const char* fidelity_name(Fidelity fidelity);
-
 /// Knobs for one probe-flow failure experiment.
 struct RunKnobs {
   sim::Time fail_at = sim::millis(380);

@@ -11,17 +11,6 @@
 
 namespace f2t::exec {
 
-namespace {
-
-core::ControlPlane control_from_name(const std::string& name) {
-  if (name == "ospf") return core::ControlPlane::kOspf;
-  if (name == "central") return core::ControlPlane::kCentral;
-  if (name == "bgp") return core::ControlPlane::kPathVector;
-  throw std::invalid_argument("campaign: unknown control plane: " + name);
-}
-
-}  // namespace
-
 transport::WorkloadOptions workload_options_of(
     const core::CampaignSpec::WorkloadAxis& axis, sim::Time horizon) {
   transport::WorkloadOptions wo;
@@ -30,43 +19,49 @@ transport::WorkloadOptions workload_options_of(
   wo.sizes = transport::FlowSizeCdf::by_name(axis.size_dist);
   wo.load = axis.load;
   wo.fanin = static_cast<std::size_t>(axis.fanin);
-  wo.incast_bytes = axis.flow_bytes;
+  wo.incast_bytes = static_cast<std::uint64_t>(axis.flow_bytes);
   wo.deadline = sim::millis(axis.deadline_ms);
   wo.stop = horizon;
   return wo;
 }
 
-core::ShardResult run_shard(const core::CampaignSpec& spec,
-                            const core::ShardSpec& shard) {
+core::RunKnobs run_knobs(const core::CampaignSpec& spec,
+                         const std::string& control, std::uint64_t seed) {
+  spec.validate();
   core::RunKnobs knobs;
   knobs.fail_at = spec.fail_at;
   knobs.horizon = spec.horizon;
-  knobs.config.control_plane = control_from_name(shard.control);
+  knobs.config.control_plane =
+      control == "central" ? core::ControlPlane::kCentral
+      : control == "bgp"   ? core::ControlPlane::kPathVector
+                           : core::ControlPlane::kOspf;
   knobs.config.detection.down_delay = sim::millis(spec.detection_ms);
   knobs.config.detection.up_delay = knobs.config.detection.down_delay;
   if (spec.detection == "probe") {
     knobs.config.detection.mode = routing::DetectionMode::kProbe;
-    knobs.config.bfd.tx_interval = sim::millis(spec.bfd_tx_ms);
-    knobs.config.bfd.miss_multiplier = spec.bfd_multiplier;
-    knobs.config.bfd.dampening.enabled = spec.dampening;
   }
+  knobs.config.bfd.tx_interval = sim::millis(spec.bfd_tx_ms);
+  knobs.config.bfd.miss_multiplier = spec.bfd_multiplier;
+  knobs.config.bfd.dampening.enabled = spec.dampening;
   knobs.config.ospf.throttle.initial_delay = sim::millis(spec.spf_ms);
-  knobs.config.seed = shard.seed;
+  knobs.config.seed = seed;
   knobs.config.observe = spec.trace;
   knobs.config.sample_interval = sim::millis(spec.sample_interval_ms);
   knobs.fault.kind = spec.fault;
   knobs.fault.gray_loss = spec.gray_loss;
   knobs.fault.flap_period = sim::millis(spec.flap_period_ms);
   knobs.fault.flap_cycles = spec.flap_cycles;
-  if (!core::parse_fidelity(spec.fidelity, knobs.fidelity)) {
-    throw std::invalid_argument("campaign: unknown fidelity: " +
-                                spec.fidelity);
-  }
+  if (spec.fidelity == "flow") knobs.fidelity = core::Fidelity::kFlow;
   if (spec.workload.enabled) {
     knobs.workload_enabled = true;
     knobs.workload = workload_options_of(spec.workload, spec.horizon);
   }
+  return knobs;
+}
 
+core::ShardResult run_shard(const core::CampaignSpec& spec,
+                            const core::ShardSpec& shard) {
+  const core::RunKnobs knobs = run_knobs(spec, shard.control, shard.seed);
   const auto builder = core::topology_builder(
       shard.topology.name, shard.topology.ports, shard.topology.ring_width,
       shard.topology.aspen_f);

@@ -3,14 +3,14 @@
 #include <functional>
 
 #include "core/campaign.hpp"
+#include "core/runner.hpp"
 #include "transport/workload.hpp"
 
 namespace f2t::exec {
 
 /// Maps a spec's workload axis onto the generator options the runner
-/// consumes (CDF by name, kind, deadline in simulated time). Shared by
-/// run_shard and the CLI's one-off recover path so a standalone run
-/// reproduces a campaign shard's workload exactly.
+/// consumes (CDF by name, kind, deadline in simulated time); run_knobs
+/// applies it.
 transport::WorkloadOptions workload_options_of(
     const core::CampaignSpec::WorkloadAxis& axis, sim::Time horizon);
 
@@ -44,6 +44,13 @@ struct CampaignOptions {
   /// of silent stall.
   std::function<void(const core::ShardSpec&)> on_shard_start;
 };
+
+/// The one mapping from a spec's settings to a run's knobs, for one of
+/// its control names and a seed: run_shard passes the shard's, `f2tsim
+/// recover` its one control and --seed. Validates the spec first, so an
+/// invalid one (say, built in code) throws validate()'s message.
+core::RunKnobs run_knobs(const core::CampaignSpec& spec,
+                         const std::string& control, std::uint64_t seed);
 
 /// Runs one shard in isolation — also the reproduction path: re-running
 /// a single shard of a campaign must produce the very record the full

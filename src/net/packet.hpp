@@ -38,7 +38,8 @@ struct ControlPayload {
 /// A simulated packet. Copied by value; the only indirection is the
 /// shared control payload, so data packets are cheap to move around.
 struct Packet {
-  std::uint64_t uid = 0;  ///< globally unique id (assigned by the sender)
+  /// Unique within the run (sim::Simulator::next_packet_uid).
+  std::uint64_t uid = 0;
   Ipv4Addr src;
   Ipv4Addr dst;
   Protocol proto = Protocol::kUdp;

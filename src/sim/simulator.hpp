@@ -40,10 +40,15 @@ class Simulator {
   /// Runs until the horizon (or queue exhaustion with the default).
   std::size_t run(Time until = kNever) { return scheduler_.run(until); }
 
+  /// Next packet uid (net::Packet::uid): one counter per simulation,
+  /// starting at 1, so uids are unique across every sending host.
+  std::uint64_t next_packet_uid() { return ++last_packet_uid_; }
+
  private:
   Scheduler scheduler_;
   Random random_;
   Logger logger_;
+  std::uint64_t last_packet_uid_ = 0;
 };
 
 }  // namespace f2t::sim

@@ -7,27 +7,6 @@
 
 namespace f2t::topo {
 
-namespace {
-
-// Shared with fattree.cpp in spirit; duplicated locally because the scaled
-// geometry records ring metadata the same way but over different rosters.
-void build_ring2(net::Network& network, BuiltTopology& topo,
-                 const std::vector<net::L3Switch*>& members) {
-  const int n = static_cast<int>(members.size());
-  if (n < 2) return;
-  for (int i = 0; i < n; ++i) {
-    net::L3Switch& from = *members[static_cast<std::size_t>(i)];
-    net::L3Switch& to = *members[static_cast<std::size_t>((i + 1) % n)];
-    network.connect_default(from, to);
-    topo.rings[&from].right.push_back(
-        static_cast<net::PortId>(from.port_count() - 1));
-    topo.rings[&to].left.push_back(
-        static_cast<net::PortId>(to.port_count() - 1));
-  }
-}
-
-}  // namespace
-
 BuiltTopology build_f2tree_scaled(net::Network& network,
                                   const F2TreeScaledOptions& options) {
   const int n = options.ports;
@@ -106,20 +85,12 @@ BuiltTopology build_f2tree_scaled(net::Network& network,
     }
   }
 
-  for (const auto& pod : topo.pods) build_ring2(network, topo, pod.aggs);
-  for (const auto& group : topo.core_groups) build_ring2(network, topo, group);
-
-  for (std::size_t t = 0; t < topo.tors.size(); ++t) {
-    net::L3Switch* tor = topo.tors[t];
-    topo.subnet_of_tor[tor] = AddressPlan::tor_subnet(static_cast<int>(t));
-    for (int h = 0; h < hosts_per_tor; ++h) {
-      net::Host& host = network.add_host(
-          "h" + std::to_string(t) + "_" + std::to_string(h),
-          AddressPlan::host_addr(static_cast<int>(t), h), tor);
-      topo.hosts.push_back(&host);
-      topo.hosts_of_tor[tor].push_back(&host);
-    }
+  for (const auto& pod : topo.pods) build_ring(network, topo, pod.aggs, 2);
+  for (const auto& group : topo.core_groups) {
+    build_ring(network, topo, group, 2);
   }
+
+  attach_hosts(network, topo, hosts_per_tor);
   return topo;
 }
 

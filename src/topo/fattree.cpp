@@ -37,26 +37,6 @@ void validate(const FatTreeOptions& options) {
   }
 }
 
-/// Builds the ring over `members` (ports freed by the rewiring), recording
-/// right/left ports per switch. `width` across links per switch.
-void build_ring(net::Network& network, BuiltTopology& topo,
-                const std::vector<net::L3Switch*>& members, int width) {
-  const int n = static_cast<int>(members.size());
-  if (n < 2) return;  // a 1-switch "ring" leaves reserved ports unused
-  for (int offset = 1; offset <= width / 2; ++offset) {
-    for (int i = 0; i < n; ++i) {
-      net::L3Switch& from = *members[static_cast<std::size_t>(i)];
-      net::L3Switch& to = *members[static_cast<std::size_t>((i + offset) % n)];
-      network.connect_default(from, to);
-      const net::PortId from_port =
-          static_cast<net::PortId>(from.port_count() - 1);
-      const net::PortId to_port = static_cast<net::PortId>(to.port_count() - 1);
-      topo.rings[&from].right.push_back(from_port);
-      topo.rings[&to].left.push_back(to_port);
-    }
-  }
-}
-
 }  // namespace
 
 BuiltTopology build_fat_tree(net::Network& network,
@@ -155,17 +135,7 @@ BuiltTopology build_fat_tree(net::Network& network,
   }
 
   // --- hosts --------------------------------------------------------------
-  for (std::size_t t = 0; t < topo.tors.size(); ++t) {
-    net::L3Switch* tor = topo.tors[t];
-    topo.subnet_of_tor[tor] = AddressPlan::tor_subnet(static_cast<int>(t));
-    for (int h = 0; h < hosts_per_tor; ++h) {
-      net::Host& host = network.add_host(
-          "h" + std::to_string(t) + "_" + std::to_string(h),
-          AddressPlan::host_addr(static_cast<int>(t), h), tor);
-      topo.hosts.push_back(&host);
-      topo.hosts_of_tor[tor].push_back(&host);
-    }
-  }
+  attach_hosts(network, topo, hosts_per_tor);
   return topo;
 }
 

@@ -55,30 +55,9 @@ BuiltTopology build_leaf_spine(net::Network& network,
     }
   }
 
-  if (options.f2_rewire && spines >= 2) {
-    for (int s = 0; s < spines; ++s) {
-      net::L3Switch& from = *topo.cores[static_cast<std::size_t>(s)];
-      net::L3Switch& to =
-          *topo.cores[static_cast<std::size_t>((s + 1) % spines)];
-      network.connect_default(from, to);
-      topo.rings[&from].right.push_back(
-          static_cast<net::PortId>(from.port_count() - 1));
-      topo.rings[&to].left.push_back(
-          static_cast<net::PortId>(to.port_count() - 1));
-    }
-  }
+  if (options.f2_rewire) build_ring(network, topo, topo.cores, 2);
 
-  for (std::size_t l = 0; l < topo.tors.size(); ++l) {
-    net::L3Switch* leaf = topo.tors[l];
-    topo.subnet_of_tor[leaf] = AddressPlan::tor_subnet(static_cast<int>(l));
-    for (int h = 0; h < hosts_per_leaf; ++h) {
-      net::Host& host = network.add_host(
-          "h" + std::to_string(l) + "_" + std::to_string(h),
-          AddressPlan::host_addr(static_cast<int>(l), h), leaf);
-      topo.hosts.push_back(&host);
-      topo.hosts_of_tor[leaf].push_back(&host);
-    }
-  }
+  attach_hosts(network, topo, hosts_per_leaf);
   return topo;
 }
 

@@ -2,6 +2,8 @@
 
 #include <sstream>
 
+#include "topo/addressing.hpp"
+
 namespace f2t::topo {
 
 const char* topology_kind_name(TopologyKind kind) {
@@ -63,6 +65,43 @@ std::string BuiltTopology::summary() const {
      << cores.size() << " core, " << hosts.size() << " hosts, "
      << network->link_count() << " links";
   return os.str();
+}
+
+void build_ring(net::Network& network, BuiltTopology& topo,
+                const std::vector<net::L3Switch*>& members, int width) {
+  const std::size_t n = members.size();
+  if (n < 2) return;  // a 1-switch "ring" leaves reserved ports unused
+  for (std::size_t offset = 1; offset <= static_cast<std::size_t>(width / 2);
+       ++offset) {
+    for (std::size_t i = 0; i < n; ++i) {
+      net::L3Switch& from = *members[i];
+      net::L3Switch& to = *members[(i + offset) % n];
+      network.connect_default(from, to);
+      topo.rings[&from].right.push_back(
+          static_cast<net::PortId>(from.port_count() - 1));
+      topo.rings[&to].left.push_back(
+          static_cast<net::PortId>(to.port_count() - 1));
+    }
+  }
+}
+
+void attach_hosts(net::Network& network, BuiltTopology& topo,
+                  int hosts_per_tor) {
+  for (std::size_t t = 0; t < topo.tors.size(); ++t) {
+    net::L3Switch* tor = topo.tors[t];
+    const int tor_index = static_cast<int>(t);
+    topo.subnet_of_tor[tor] = AddressPlan::tor_subnet(tor_index);
+    for (int h = 0; h < hosts_per_tor; ++h) {
+      std::string name = "h";
+      name += std::to_string(t);
+      name += '_';
+      name += std::to_string(h);
+      net::Host& host = network.add_host(
+          name, AddressPlan::host_addr(tor_index, h), tor);
+      topo.hosts.push_back(&host);
+      topo.hosts_of_tor[tor].push_back(&host);
+    }
+  }
 }
 
 }  // namespace f2t::topo

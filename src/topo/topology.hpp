@@ -63,4 +63,20 @@ struct BuiltTopology {
   std::string summary() const;
 };
 
+// Wiring steps every builder shares. Creation order is part of a
+// topology's identity (router ids, port numbers and ECMP hashes follow
+// it), so each builder calls these at a fixed point.
+
+/// Wires `members` into an across ring `width` links wide: offsets 1 to
+/// width/2, every member linked to the one `offset` places on, each link
+/// recorded as the sender's right port and the receiver's left port. A
+/// ring of fewer than two members is left unwired.
+void build_ring(net::Network& network, BuiltTopology& topo,
+                const std::vector<net::L3Switch*>& members, int width);
+
+/// Gives ToR t (in topo.tors order) its subnet AddressPlan::tor_subnet(t)
+/// and attaches `hosts_per_tor` hosts "h<t>_<h>" to it.
+void attach_hosts(net::Network& network, BuiltTopology& topo,
+                  int hosts_per_tor);
+
 }  // namespace f2t::topo

@@ -85,30 +85,10 @@ BuiltTopology build_vl2(net::Network& network, const Vl2Options& options) {
   // Per-pair across rings: two parallel links between the pair members
   // (exactly like a 2-agg fat-tree pod in the testbed prototype).
   if (options.f2_rewire) {
-    for (const auto& pod : topo.pods) {
-      for (int j = 0; j < 2; ++j) {
-        net::L3Switch& from = *pod.aggs[static_cast<std::size_t>(j)];
-        net::L3Switch& to = *pod.aggs[static_cast<std::size_t>(1 - j)];
-        network.connect_default(from, to);
-        topo.rings[&from].right.push_back(
-            static_cast<net::PortId>(from.port_count() - 1));
-        topo.rings[&to].left.push_back(
-            static_cast<net::PortId>(to.port_count() - 1));
-      }
-    }
+    for (const auto& pod : topo.pods) build_ring(network, topo, pod.aggs, 2);
   }
 
-  for (std::size_t t = 0; t < topo.tors.size(); ++t) {
-    net::L3Switch* tor = topo.tors[t];
-    topo.subnet_of_tor[tor] = AddressPlan::tor_subnet(static_cast<int>(t));
-    for (int h = 0; h < options.hosts_per_tor; ++h) {
-      net::Host& host = network.add_host(
-          "h" + std::to_string(t) + "_" + std::to_string(h),
-          AddressPlan::host_addr(static_cast<int>(t), h), tor);
-      topo.hosts.push_back(&host);
-      topo.hosts_of_tor[tor].push_back(&host);
-    }
-  }
+  attach_hosts(network, topo, options.hosts_per_tor);
   return topo;
 }
 

@@ -51,7 +51,7 @@ std::uint16_t HostStack::alloc_port() {
 }
 
 void HostStack::send(net::Packet packet) {
-  packet.uid = next_uid_++;
+  packet.uid = simulator().next_packet_uid();
   packet.src = host_.addr();
   packet.ttl = 64;
   packet.sent_at = simulator().now();

@@ -49,7 +49,6 @@ class HostStack {
   std::unordered_map<std::uint16_t, UdpHandler> udp_;
   std::unordered_map<std::uint64_t, TcpEndpoint*> tcp_;
   std::uint16_t next_port_ = 49152;
-  std::uint64_t next_uid_ = 1;
   std::uint64_t unmatched_ = 0;
 };
 

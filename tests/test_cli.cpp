@@ -45,6 +45,22 @@ TEST(Cli, RejectsMalformedArguments) {
   EXPECT_THROW(cli.get_int("ports", 4), std::invalid_argument);
   auto cli2 = make({"recover", "--rate", "fast"});
   EXPECT_THROW(cli2.get_double("rate", 1.0), std::invalid_argument);
+  // A number must be the whole value, not a prefix of it.
+  for (const char* bad : {"4x", "4.9", "abc"}) {
+    auto c = make({"topo", "--ports", bad});
+    try {
+      c.get_int("ports", 8);
+      ADD_FAILURE() << bad << " parsed as an integer";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(std::string(e.what()),
+                std::string("--ports expects an integer, got '") + bad + "'");
+    }
+  }
+  auto c3 = make({"recover", "--gray-loss", "0.5abc"});
+  EXPECT_THROW(c3.get_double("gray-loss", 1.0), std::invalid_argument);
+  auto c4 = make({"recover", "--ports", "-4", "--gray-loss", "0.5"});
+  EXPECT_EQ(c4.get_int("ports", 8), -4);
+  EXPECT_DOUBLE_EQ(c4.get_double("gray-loss", 1.0), 0.5);
 }
 
 TEST(Cli, NoCommand) {

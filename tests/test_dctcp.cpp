@@ -44,8 +44,9 @@ IncastResult run_incast(bool dctcp) {
   std::vector<std::unique_ptr<HostStack>> stacks;
   std::vector<std::unique_ptr<TcpConnection>> conns;
   for (int i = 0; i < 8; ++i) {
-    auto& host = net.add_host("h" + std::to_string(i),
-                              net::Ipv4Addr(10, 11, 0, 20 + i), &sw);
+    std::string name = "h";
+    name += std::to_string(i);
+    auto& host = net.add_host(name, net::Ipv4Addr(10, 11, 0, 20 + i), &sw);
     stacks.push_back(std::make_unique<HostStack>(host));
     conns.push_back(
         std::make_unique<TcpConnection>(*stacks.back(), sink_stack,

@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <string>
 
+#include "core/cli.hpp"
 #include "core/f2tree.hpp"
 #include "core/runner.hpp"
+#include "exec/campaign.hpp"
 
 namespace f2t {
 namespace {
@@ -151,37 +154,41 @@ TEST(Recovery, C7DegradesToFatTreeBehaviour) {
   EXPECT_GE(f2.loss, sim::millis(200));
 }
 
-/// The headline runs exactly as `f2tsim recover --ports 8 --condition C1`
-/// runs them with its defaults (seed 1): the loss window in ns and the
-/// packets lost. These are the numbers the CLI prints (60.12 ms, 270.4 ms,
-/// 114.1 ms), so a change that moves one has changed behaviour.
+/// The headline runs exactly as `f2tsim recover --ports 8` runs them with
+/// its defaults (C1, seed 1): the settings come from recover's flags
+/// through the shared reader and exec::run_knobs, as in the CLI. The loss
+/// window in ns and the packets lost are the numbers the CLI prints
+/// (60.12 ms, 270.4 ms, 114.1 ms), so a change that moves one has changed
+/// behaviour.
 TEST(Recovery, HeadlineRunsArePinned) {
   struct Pin {
     const char* topo;
-    core::ControlPlane control;
-    core::Fidelity fidelity;
+    const char* control;
+    const char* fidelity;
     sim::Time loss;
     std::uint64_t lost;
   };
   const Pin pins[] = {
-      {"f2", core::ControlPlane::kOspf, core::Fidelity::kPacket, 60'116'920,
-       600},
-      {"fat", core::ControlPlane::kOspf, core::Fidelity::kPacket, 270'357'680,
-       2'700},
-      {"fat", core::ControlPlane::kCentral, core::Fidelity::kPacket,
-       114'100'000, 1'140},
-      {"fat", core::ControlPlane::kCentral, core::Fidelity::kFlow, 114'100'000,
-       1'140},
+      {"f2", "ospf", "packet", 60'116'920, 600},
+      {"fat", "ospf", "packet", 270'357'680, 2'700},
+      {"fat", "central", "packet", 114'100'000, 1'140},
+      {"fat", "central", "flow", 114'100'000, 1'140},
   };
   for (const Pin& pin : pins) {
-    SCOPED_TRACE(std::string(pin.topo) + " control " +
-                 std::to_string(static_cast<int>(pin.control)) +
-                 " fidelity " + std::to_string(static_cast<int>(pin.fidelity)));
-    core::RunKnobs knobs;
-    knobs.config.control_plane = pin.control;
-    knobs.fidelity = pin.fidelity;
+    SCOPED_TRACE(std::string(pin.topo) + " " + pin.control + " " +
+                 pin.fidelity);
+    const char* argv[] = {"f2tsim",    "recover", "--ports",   "8",
+                          "--topo",    pin.topo,  "--control", pin.control,
+                          "--fidelity", pin.fidelity};
+    core::Cli cli(static_cast<int>(std::size(argv)), argv);
+    const auto spec = core::CampaignSpec::from_recover_flags(cli);
+    ASSERT_TRUE(cli.unknown_keys().empty());
+    const auto& axis = spec.topologies.front();
     const core::UdpRun run = core::run_udp_condition(
-        core::topology_builder(pin.topo, 8), Condition::kC1, knobs);
+        core::topology_builder(axis.name, axis.ports, axis.ring_width,
+                               axis.aspen_f),
+        spec.conditions.front(),
+        exec::run_knobs(spec, spec.controls.front(), spec.base_seed));
     ASSERT_TRUE(run.ok);
     EXPECT_EQ(run.connectivity_loss, pin.loss);
     EXPECT_EQ(run.packets_lost, pin.lost);

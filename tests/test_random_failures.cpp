@@ -18,9 +18,10 @@ struct Mesh {
   Mesh() {
     std::vector<net::L3Switch*> switches;
     for (int i = 0; i < 4; ++i) {
+      std::string name = "s";
+      name += std::to_string(i);
       switches.push_back(&net.add_switch(
-          "s" + std::to_string(i),
-          net::Ipv4Addr(10, 12, static_cast<std::uint8_t>(i), 1)));
+          name, net::Ipv4Addr(10, 12, static_cast<std::uint8_t>(i), 1)));
     }
     for (std::size_t i = 0; i < switches.size(); ++i) {
       for (std::size_t j = i + 1; j < switches.size(); ++j) {

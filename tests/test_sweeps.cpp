@@ -57,7 +57,9 @@ TEST_P(PortSweep, F2TreeIsDetectionBound) {
 
 INSTANTIATE_TEST_SUITE_P(Ports, PortSweep, ::testing::Values(4, 6, 8, 10),
                          [](const ::testing::TestParamInfo<int>& info) {
-                           return "n" + std::to_string(info.param);
+                           std::string name = "n";
+                           name += std::to_string(info.param);
+                           return name;
                          });
 
 // --- recovery tracks the detection delay -----------------------------------

@@ -30,7 +30,7 @@ TEST(PacketTracer, RecordsForwardingHops) {
   // Every traced packet crossed tor -> agg -> core(s) -> agg -> tor; in
   // the 4-port rewired prototype inter-pod paths may need one core-ring
   // hop (each core gave up two pod links).
-  const auto names = tracer.path_names(1);  // first uid from this stack
+  const auto names = tracer.path_names(1);  // first uid of the run
   ASSERT_GE(names.size(), 5u);
   ASSERT_LE(names.size(), 6u);
   EXPECT_EQ(names.front().substr(0, 3), "tor");
@@ -71,6 +71,33 @@ TEST(PacketTracer, ObservesFastRerouteDetour) {
   EXPECT_EQ(names[3], plan->sx->name());
   EXPECT_EQ(names[4].substr(0, 3), "agg");
   EXPECT_NE(names[4], plan->sx->name());
+}
+
+TEST(PacketTracer, UidsAreUniqueAcrossSendingHosts) {
+  // Two hosts each send one packet to the same destination: the tracer,
+  // keyed by uid, must see two packets, not one with both hop lists.
+  core::Testbed bed([](net::Network& n) { return topo::build_f2tree(n, 4); });
+  bed.converge();
+  PacketTracer tracer(bed.network());
+  const auto& hosts = bed.topo().hosts;
+  transport::UdpSink sink(bed.stack_of(*hosts.back()), 9000);
+  for (net::Host* src : {hosts[0], hosts[1]}) {
+    Packet p;
+    p.dst = hosts.back()->addr();
+    p.proto = Protocol::kUdp;
+    p.sport = 20000;
+    p.dport = 9000;
+    p.size_bytes = 100;
+    bed.sim().after(0, [&bed, src, p] { bed.stack_of(*src).send(p); });
+  }
+  bed.sim().run(bed.sim().now() + sim::millis(10));
+
+  ASSERT_EQ(sink.packets_received(), 2u);
+  EXPECT_EQ(tracer.packet_count(), 2u);
+  EXPECT_EQ(tracer.hops_of(1).size() + tracer.hops_of(2).size(),
+            tracer.event_count());
+  EXPECT_LE(tracer.hops_of(1).size(), 6u);
+  EXPECT_LE(tracer.hops_of(2).size(), 6u);
 }
 
 TEST(PacketTracer, ClearResets) {

@@ -15,7 +15,11 @@
 ///   f2tsim table1   --ports 8 [--aspen-f 1]
 ///
 /// Every command maps onto the same library calls the benches and tests
-/// use, so a CLI run is exactly reproducible in code.
+/// use, so a CLI run is exactly reproducible in code. `recover` and an ad
+/// hoc `campaign` read their settings into a core::CampaignSpec
+/// (CampaignSpec::from_recover_flags / from_campaign_flags), which holds
+/// the defaults and the validation, and exec::run_knobs turns it into a
+/// run's knobs, as for a spec file.
 
 #include <algorithm>
 #include <atomic>
@@ -38,8 +42,8 @@ namespace {
 
 int usage() {
   std::cerr <<
-      "usage: f2tsim <recover|workload|topo|table1> [options]\n"
-      "  recover  --topo NAME --ports N --condition C1..C7\n"
+      "usage: f2tsim <recover|workload|campaign|topo|table1> [options]\n"
+      "  recover  --topo NAME --ports N --condition C1..C8\n"
       "           [--control ospf|central|bgp] [--proto udp|tcp]\n"
       "           [--detection-ms 60] [--spf-ms 200] [--ring-width 2]\n"
       "           [--aspen-f 1] [--seed 1] [--csv]\n"
@@ -69,7 +73,7 @@ int usage() {
       "           [--fault cut|unidir|gray|flap] [--gray-loss 1.0]\n"
       "           [--flap-period-ms 300] [--flap-cycles 5]\n"
       "           [--fidelity packet|flow]\n"
-      "           [--trace] [--sample-interval-ms 10]\n"
+      "           [--trace] [--sample-interval-ms 0]\n"
       "           [--workload poisson|incast] [--size-dist websearch|datamining]\n"
       "           [--wl-load 0.1] [--wl-fanin 8] [--wl-flow-bytes 20000]\n"
       "           [--wl-deadline-ms 250]\n"
@@ -98,28 +102,10 @@ int usage() {
       "empirical flow-size CDF, or periodic incast fan-in rounds) to each\n"
       "run and reports tail-latency SLOs: FCT p50/p99/p999 and the\n"
       "deadline-miss fraction inside vs outside the failure window\n"
-      "(packet fidelity only).\n";
+      "(packet fidelity only).\n"
+      "recover and ad hoc campaign read their shared settings the way a\n"
+      "campaign spec does: an invalid value fails with the same error.\n";
   return 2;
-}
-
-failure::Condition parse_condition(const std::string& text) {
-  using failure::Condition;
-  static const std::map<std::string, Condition> table{
-      {"C1", Condition::kC1}, {"C2", Condition::kC2}, {"C3", Condition::kC3},
-      {"C4", Condition::kC4}, {"C5", Condition::kC5}, {"C6", Condition::kC6},
-      {"C7", Condition::kC7}};
-  const auto it = table.find(text);
-  if (it == table.end()) {
-    throw std::invalid_argument("unknown condition: " + text);
-  }
-  return it->second;
-}
-
-core::ControlPlane parse_control(const std::string& text) {
-  if (text == "ospf") return core::ControlPlane::kOspf;
-  if (text == "central") return core::ControlPlane::kCentral;
-  if (text == "bgp") return core::ControlPlane::kPathVector;
-  throw std::invalid_argument("unknown control plane: " + text);
 }
 
 sim::LogLevel parse_log_level_option(core::Cli& cli) {
@@ -127,82 +113,6 @@ sim::LogLevel parse_log_level_option(core::Cli& cli) {
   const auto level = sim::Logger::parse_level(text);
   if (!level) throw std::invalid_argument("unknown log level: " + text);
   return *level;
-}
-
-/// Applies the shared --detection / --bfd-* / --fault family of flags
-/// (recover and ad hoc campaign accept the same set).
-void apply_detection_flags(core::Cli& cli, core::RunKnobs& knobs) {
-  const std::string detection = cli.get("detection", "oracle");
-  if (detection == "probe") {
-    knobs.config.detection.mode = routing::DetectionMode::kProbe;
-  } else if (detection != "oracle") {
-    throw std::invalid_argument("unknown detection: " + detection +
-                                " (oracle|probe)");
-  }
-  knobs.config.bfd.tx_interval = sim::millis(cli.get_int("bfd-tx-ms", 20));
-  knobs.config.bfd.miss_multiplier = cli.get_int("bfd-multiplier", 3);
-  knobs.config.bfd.dampening.enabled = !cli.get_flag("no-dampening");
-
-  const std::string fault = cli.get("fault", "cut");
-  const auto kind = failure::parse_fault_kind(fault);
-  if (!kind) {
-    throw std::invalid_argument("unknown fault: " + fault +
-                                " (cut|unidir|gray|flap)");
-  }
-  knobs.fault.kind = *kind;
-  knobs.fault.gray_loss = cli.get_double("gray-loss", 1.0);
-  knobs.fault.flap_period = sim::millis(cli.get_int("flap-period-ms", 300));
-  knobs.fault.flap_cycles = cli.get_int("flap-cycles", 5);
-
-  const std::string fidelity = cli.get("fidelity", "packet");
-  if (!core::parse_fidelity(fidelity, knobs.fidelity)) {
-    throw std::invalid_argument("unknown fidelity: " + fidelity +
-                                " (packet|flow)");
-  }
-}
-
-/// Parses the shared --workload flag family (recover and ad hoc campaign
-/// accept the same set) into the spec axis. Returns false — leaving the
-/// axis disabled — when --workload was not given.
-bool parse_workload_flags(core::Cli& cli,
-                          core::CampaignSpec::WorkloadAxis& wl) {
-  const std::string kind = cli.get("workload", "");
-  // The satellite flags are consumed up front (marking them known to the
-  // Cli) so they are inert without --workload instead of tripping the
-  // unknown-option check.
-  const std::string size_dist = cli.get("size-dist", wl.size_dist);
-  const double load = cli.get_double("wl-load", wl.load);
-  const int fanin = cli.get_int("wl-fanin", wl.fanin);
-  const int flow_bytes =
-      cli.get_int("wl-flow-bytes", static_cast<int>(wl.flow_bytes));
-  const int deadline_ms = cli.get_int("wl-deadline-ms", wl.deadline_ms);
-  if (kind.empty()) return false;
-  if (kind != "poisson" && kind != "incast") {
-    throw std::invalid_argument("unknown workload: " + kind +
-                                " (poisson|incast)");
-  }
-  wl.enabled = true;
-  wl.kind = kind;
-  wl.size_dist = size_dist;
-  if (wl.size_dist != "websearch" && wl.size_dist != "datamining") {
-    throw std::invalid_argument("unknown size-dist: " + wl.size_dist +
-                                " (websearch|datamining)");
-  }
-  wl.load = load;
-  if (!(wl.load > 0) || wl.load > 1) {
-    throw std::invalid_argument("--wl-load must be in (0, 1]");
-  }
-  wl.fanin = fanin;
-  if (wl.fanin < 1) throw std::invalid_argument("--wl-fanin must be >= 1");
-  if (flow_bytes < 1) {
-    throw std::invalid_argument("--wl-flow-bytes must be >= 1");
-  }
-  wl.flow_bytes = static_cast<std::uint64_t>(flow_bytes);
-  wl.deadline_ms = deadline_ms;
-  if (wl.deadline_ms < 0) {
-    throw std::invalid_argument("--wl-deadline-ms must be >= 0");
-  }
-  return true;
 }
 
 /// Export destinations for one observed run's artefacts.
@@ -265,10 +175,11 @@ int export_observation(const obs::RunObservation& o, const ExportPaths& p) {
 }
 
 int cmd_recover(core::Cli& cli) {
-  const auto builder = core::topology_builder(
-      cli.get("topo", "f2"), cli.get_int("ports", 8),
-      cli.get_int("ring-width", 2), cli.get_int("aspen-f", 1));
-  const auto condition = parse_condition(cli.get("condition", "C1"));
+  const auto spec = core::CampaignSpec::from_recover_flags(cli);
+  const auto& axis = spec.topologies.front();
+  const auto builder = core::topology_builder(axis.name, axis.ports,
+                                              axis.ring_width, axis.aspen_f);
+  const failure::Condition condition = spec.conditions.front();
   const std::string proto = cli.get("proto", "udp");
   const bool csv = cli.get_flag("csv");
   ExportPaths paths;
@@ -277,29 +188,19 @@ int cmd_recover(core::Cli& cli) {
   paths.trace_out = cli.get("trace-out", "");
   paths.samples_out = cli.get("samples-out", "");
   paths.timeline = cli.get_flag("timeline");
+  // The cadence of the --samples-out export, recover's own option (a
+  // campaign's sample_interval_ms is a spec setting, 0 = off).
   const int sample_interval_ms = cli.get_int("sample-interval-ms", 10);
   if (sample_interval_ms <= 0) {
     throw std::invalid_argument("--sample-interval-ms must be > 0");
   }
-
-  core::RunKnobs knobs;
-  knobs.config.control_plane = parse_control(cli.get("control", "ospf"));
-  knobs.config.detection.down_delay =
-      sim::millis(cli.get_int("detection-ms", 60));
-  knobs.config.detection.up_delay = knobs.config.detection.down_delay;
-  knobs.config.ospf.throttle.initial_delay =
-      sim::millis(cli.get_int("spf-ms", 200));
-  knobs.config.seed = static_cast<std::uint64_t>(cli.get_int("seed", 1));
-  apply_detection_flags(cli, knobs);
-  core::CampaignSpec::WorkloadAxis workload_axis;
-  if (parse_workload_flags(cli, workload_axis)) {
-    if (proto != "udp") {
-      throw std::invalid_argument(
-          "--workload rides the UDP probe run (use --proto udp)");
-    }
-    knobs.workload_enabled = true;
-    knobs.workload = exec::workload_options_of(workload_axis, knobs.horizon);
+  if (spec.workload.enabled && proto != "udp") {
+    throw std::invalid_argument(
+        "--workload rides the UDP probe run (use --proto udp)");
   }
+
+  core::RunKnobs knobs =
+      exec::run_knobs(spec, spec.controls.front(), spec.base_seed);
   knobs.config.log_level = parse_log_level_option(cli);
   knobs.config.observe = paths.timeline || !paths.metrics_out.empty() ||
                          !paths.events_out.empty() || !paths.trace_out.empty();
@@ -362,9 +263,9 @@ int cmd_recover(core::Cli& cli) {
 }
 
 int cmd_workload(core::Cli& cli) {
-  const auto builder = core::topology_builder(
-      cli.get("topo", "f2"), cli.get_int("ports", 8),
-      cli.get_int("ring-width", 2), cli.get_int("aspen-f", 1));
+  const auto axis = core::CampaignSpec::TopologyAxis::from_flags(cli);
+  const auto builder = core::topology_builder(axis.name, axis.ports,
+                                              axis.ring_width, axis.aspen_f);
   const int seconds = cli.get_int("seconds", 60);
   const int cf = cli.get_int("cf", 1);
   const auto seed = static_cast<std::uint64_t>(cli.get_int("seed", 1));
@@ -412,82 +313,6 @@ int cmd_workload(core::Cli& cli) {
   return 0;
 }
 
-/// Builds a CampaignSpec from ad hoc CLI flags (the no-spec-file path).
-core::CampaignSpec campaign_spec_from_flags(core::Cli& cli) {
-  core::CampaignSpec spec;
-  spec.name = cli.get("name", "cli");
-  core::CampaignSpec::TopologyAxis axis;
-  axis.name = cli.get("topo", "f2");
-  axis.ports = cli.get_int("ports", 8);
-  axis.ring_width = cli.get_int("ring-width", 2);
-  axis.aspen_f = cli.get_int("aspen-f", 1);
-  spec.topologies = {axis};
-  spec.controls = {cli.get("control", "ospf")};
-  const std::string conditions = cli.get("conditions", "");
-  if (conditions == "all") {
-    using failure::Condition;
-    spec.conditions = {Condition::kC1, Condition::kC2, Condition::kC3,
-                       Condition::kC4, Condition::kC5, Condition::kC6,
-                       Condition::kC7};
-  } else if (!conditions.empty()) {
-    std::istringstream in(conditions);
-    std::string token;
-    while (std::getline(in, token, ',')) {
-      spec.conditions.push_back(parse_condition(token));
-    }
-  }
-  const std::string sites = cli.get("link-sites", "0");
-  spec.link_sites = sites == "all" ? -1 : std::stoi(sites);
-  spec.random_sites = cli.get_int("random-sites", 0);
-  if (spec.random_sites < 0) {
-    throw std::invalid_argument("--random-sites must be >= 0");
-  }
-  spec.seeds = cli.get_int("seeds", 1);
-  spec.base_seed = static_cast<std::uint64_t>(cli.get_int("base-seed", 1));
-  spec.detection_ms = cli.get_int("detection-ms", 60);
-  spec.spf_ms = cli.get_int("spf-ms", 200);
-  spec.detection = cli.get("detection", "oracle");
-  if (spec.detection != "oracle" && spec.detection != "probe") {
-    throw std::invalid_argument("unknown detection: " + spec.detection +
-                                " (oracle|probe)");
-  }
-  spec.bfd_tx_ms = cli.get_int("bfd-tx-ms", 20);
-  spec.bfd_multiplier = cli.get_int("bfd-multiplier", 3);
-  spec.dampening = !cli.get_flag("no-dampening");
-  const std::string fault = cli.get("fault", "cut");
-  const auto kind = failure::parse_fault_kind(fault);
-  if (!kind) {
-    throw std::invalid_argument("unknown fault: " + fault +
-                                " (cut|unidir|gray|flap)");
-  }
-  spec.fault = *kind;
-  spec.gray_loss = cli.get_double("gray-loss", 1.0);
-  spec.flap_period_ms = cli.get_int("flap-period-ms", 300);
-  spec.flap_cycles = cli.get_int("flap-cycles", 5);
-  spec.fidelity = cli.get("fidelity", "packet");
-  if (spec.fidelity != "packet" && spec.fidelity != "flow") {
-    throw std::invalid_argument("unknown fidelity: " + spec.fidelity +
-                                " (packet|flow)");
-  }
-  spec.trace = cli.get_flag("trace");
-  spec.sample_interval_ms = cli.get_int("sample-interval-ms", 0);
-  if (spec.sample_interval_ms < 0) {
-    throw std::invalid_argument("--sample-interval-ms must be >= 0");
-  }
-  if (parse_workload_flags(cli, spec.workload) && spec.fidelity == "flow") {
-    throw std::invalid_argument("--workload requires --fidelity packet");
-  }
-  if (spec.conditions.empty() && spec.link_sites == 0 &&
-      spec.random_sites == 0) {
-    // Bare "f2tsim campaign" sweeps the paper's Table IV conditions.
-    using failure::Condition;
-    spec.conditions = {Condition::kC1, Condition::kC2, Condition::kC3,
-                       Condition::kC4, Condition::kC5, Condition::kC6,
-                       Condition::kC7};
-  }
-  return spec;
-}
-
 std::string slurp_or_die(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in) throw std::invalid_argument("cannot read " + path);
@@ -531,7 +356,7 @@ int cmd_campaign(core::Cli& cli) {
   } else if (!spec_path.empty()) {
     spec = core::CampaignSpec::parse(slurp_or_die(spec_path));
   } else {
-    spec = campaign_spec_from_flags(cli);
+    spec = core::CampaignSpec::from_campaign_flags(cli);
   }
   if (const auto unknown = cli.unknown_keys(); !unknown.empty()) {
     std::cerr << "unknown option: --" << unknown.front() << "\n";
@@ -692,9 +517,9 @@ int cmd_campaign_worker(core::Cli& cli) {
 }
 
 int cmd_topo(core::Cli& cli) {
-  const auto builder = core::topology_builder(
-      cli.get("topo", "f2"), cli.get_int("ports", 8),
-      cli.get_int("ring-width", 2), cli.get_int("aspen-f", 1));
+  const auto axis = core::CampaignSpec::TopologyAxis::from_flags(cli);
+  const auto builder = core::topology_builder(axis.name, axis.ports,
+                                              axis.ring_width, axis.aspen_f);
   const bool dot = cli.get_flag("dot");
   if (const auto unknown = cli.unknown_keys(); !unknown.empty()) {
     std::cerr << "unknown option: --" << unknown.front() << "\n";
