@@ -29,6 +29,7 @@
 #include "routing/ecmp.hpp"
 #include "routing/route_cache.hpp"
 #include "sim/event_queue.hpp"
+#include "topo/addressing.hpp"
 
 using namespace f2t;
 
@@ -221,6 +222,54 @@ void BM_FibLookupFallthroughResolved(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_FibLookupFallthroughResolved);
+
+/// One switch's share of a k = 32 central converge: a route to each of
+/// the other 511 ToR subnets, in ToR order as the controller emits them,
+/// over 20 shared next-hop groups.
+std::vector<routing::Route> k32_route_set() {
+  std::vector<routing::NextHopGroup> groups;
+  for (int g = 0; g < 20; ++g) {
+    groups.push_back(routing::NextHopGroup(
+        {routing::NextHop{static_cast<net::PortId>(g % 16), {}},
+         routing::NextHop{static_cast<net::PortId>(16 + g), {}}}));
+  }
+  std::vector<routing::Route> routes;
+  for (int t = 1; t < 512; ++t) {
+    routes.push_back(routing::Route{topo::AddressPlan::tor_subnet(t),
+                                    groups[static_cast<std::size_t>(t % 20)],
+                                    routing::RouteSource::kOspf});
+  }
+  return routes;
+}
+
+enum class DeltaCase { kEmptyFib, kNoop, kOneChanged };
+
+// FIB apply, where every control plane's route set lands: the set
+// applied to an empty FIB (a converge's first install), again unchanged
+// (a no-op recompute), and with one route's group changed (a recompute's
+// delta). The set is copied outside the timed region; it is consumed
+// inside, as a producer's set is.
+void BM_FibApplySourceDelta(benchmark::State& state, DeltaCase which) {
+  const std::vector<routing::Route> routes = k32_route_set();
+  std::vector<routing::Route> changed = routes;
+  changed[255].next_hops = changed[256].next_hops;
+  auto fib = std::make_unique<routing::Fib>();
+  fib->apply_source_delta(routing::RouteSource::kOspf, routes);
+  bool flip = false;
+  for (auto _ : state) {
+    state.PauseTiming();
+    if (which == DeltaCase::kEmptyFib) fib = std::make_unique<routing::Fib>();
+    flip = !flip;
+    std::vector<routing::Route> set =
+        which == DeltaCase::kOneChanged && flip ? changed : routes;
+    state.ResumeTiming();
+    benchmark::DoNotOptimize(
+        fib->apply_source_delta(routing::RouteSource::kOspf, std::move(set)));
+  }
+}
+BENCHMARK_CAPTURE(BM_FibApplySourceDelta, empty_fib, DeltaCase::kEmptyFib);
+BENCHMARK_CAPTURE(BM_FibApplySourceDelta, noop, DeltaCase::kNoop);
+BENCHMARK_CAPTURE(BM_FibApplySourceDelta, one_changed, DeltaCase::kOneChanged);
 
 /// Two-switch fixture for the L3Switch::forward fast path: a static route
 /// steers everything out of the inter-switch port, whose egress direction

@@ -24,6 +24,8 @@
 /// where per-packet events dominate the packet run while the fluid
 /// probe's cost stays flat in the horizon.
 
+#include <sys/resource.h>
+
 #include <chrono>
 #include <cstring>
 #include <iostream>
@@ -163,6 +165,14 @@ int main(int argc, char** argv) {
         {"flow_wall_clock" + suffix, "wall_time", wall_ms, "ms"});
     results.push_back(
         {"sim_wall/flow" + suffix, "wall_time", sim_wall_ms, "ms"});
+    if (n == 64) {
+      // Every smaller row ran first, so the process peak is this row's.
+      rusage usage{};
+      getrusage(RUSAGE_SELF, &usage);
+      results.push_back({"peak_rss_mb" + suffix, "peak_rss",
+                         static_cast<double>(usage.ru_maxrss) / 1024.0,
+                         "MB"});
+    }
   }
   flow_table.print(std::cout);
   std::cout << "(expected: identical loss columns at every k — the fluid "

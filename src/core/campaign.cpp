@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <iomanip>
+#include <limits>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
@@ -10,6 +11,7 @@
 #include "core/cli.hpp"
 #include "core/runner.hpp"
 #include "net/network.hpp"
+#include "routing/spf_throttle.hpp"
 #include "sim/random.hpp"
 #include "sim/simulator.hpp"
 #include "stats/percentile.hpp"
@@ -67,6 +69,16 @@ void check_name(const char* what, const std::string& value,
 /// Throws unless `value >= min`.
 void check_at_least(const char* what, std::int64_t value, std::int64_t min) {
   if (value < min) reject(what, " must be >= ", min, ", got ", value);
+}
+
+/// A spec's JSON integer for an `int` setting; throws, naming the
+/// setting, when it does not fit.
+int to_int(std::string_view what, std::int64_t value) {
+  if (value < std::numeric_limits<int>::min() ||
+      value > std::numeric_limits<int>::max()) {
+    reject(what, " must fit in an int, got ", value);
+  }
+  return static_cast<int>(value);
 }
 
 void check_known_keys(const json::Value& obj,
@@ -130,6 +142,13 @@ void CampaignSpec::validate() const {
   }
   check_at_least("seeds", seeds, 1);
   if (horizon <= fail_at) reject("horizon_ms must exceed fail_at_ms");
+  check_at_least("detection_ms", detection_ms, 0);
+  // The SPF throttle refuses an initial delay above its backoff cap.
+  const std::int64_t max_spf_ms =
+      routing::SpfThrottleConfig{}.max_wait / sim::millis(1);
+  if (spf_ms < 0 || spf_ms > max_spf_ms) {
+    reject("spf_ms must be in [0, ", max_spf_ms, "], got ", spf_ms);
+  }
   check_name("detection", detection, {"oracle", "probe"});
   check_at_least("bfd_tx_ms", bfd_tx_ms, 1);
   check_at_least("bfd_multiplier", bfd_multiplier, 1);
@@ -173,7 +192,7 @@ CampaignSpec CampaignSpec::from_json(const json::Value& doc) {
                    "spec");
   CampaignSpec spec;
   const auto int_or = [&doc](std::string_view key, int fallback) {
-    return static_cast<int>(doc.int_or(key, fallback));
+    return to_int(key, doc.int_or(key, fallback));
   };
   spec.name = doc.string_or("name", spec.name);
   for (const json::Value& t : doc.at("topologies").as_array()) {
@@ -181,9 +200,11 @@ CampaignSpec CampaignSpec::from_json(const json::Value& doc) {
                      "topologies[]");
     TopologyAxis axis;
     axis.name = t.at("name").as_string();
-    axis.ports = static_cast<int>(t.at("ports").as_int());
-    axis.ring_width = static_cast<int>(t.int_or("ring_width", axis.ring_width));
-    axis.aspen_f = static_cast<int>(t.int_or("aspen_f", axis.aspen_f));
+    axis.ports = to_int("topology ports", t.at("ports").as_int());
+    axis.ring_width = to_int("topology ring_width",
+                             t.int_or("ring_width", axis.ring_width));
+    axis.aspen_f =
+        to_int("topology aspen_f", t.int_or("aspen_f", axis.aspen_f));
     spec.topologies.push_back(std::move(axis));
   }
   if (const json::Value* controls = doc.find("controls")) {
@@ -205,7 +226,7 @@ CampaignSpec CampaignSpec::from_json(const json::Value& doc) {
   if (const json::Value* sites = doc.find("link_sites")) {
     spec.link_sites = sites->is_string() && sites->as_string() == "all"
                           ? -1
-                          : static_cast<int>(sites->as_int());
+                          : to_int("link_sites", sites->as_int());
   }
   spec.seeds = int_or("seeds", spec.seeds);
   spec.base_seed = static_cast<std::uint64_t>(
@@ -241,10 +262,10 @@ CampaignSpec CampaignSpec::from_json(const json::Value& doc) {
     wl.kind = workload->string_or("kind", wl.kind);
     wl.size_dist = workload->string_or("size_dist", wl.size_dist);
     wl.load = workload->number_or("load", wl.load);
-    wl.fanin = static_cast<int>(workload->int_or("fanin", wl.fanin));
+    wl.fanin = to_int("workload fanin", workload->int_or("fanin", wl.fanin));
     wl.flow_bytes = workload->int_or("flow_bytes", wl.flow_bytes);
-    wl.deadline_ms =
-        static_cast<int>(workload->int_or("deadline_ms", wl.deadline_ms));
+    wl.deadline_ms = to_int("workload deadline_ms",
+                            workload->int_or("deadline_ms", wl.deadline_ms));
   }
   spec.validate();
   return spec;

@@ -4,6 +4,24 @@
 
 namespace f2t::net {
 
+namespace {
+
+/// Logs a forwarding drop at debug level. Out of line and cold, so the
+/// message's stream stays off forward()'s per-hop frame.
+[[gnu::cold, gnu::noinline]] void log_drop(L3Switch& sw, const Packet& packet,
+                                           L3Switch::DropReason reason) {
+  sim::Simulator& simulator = sw.simulator();
+  if (reason == L3Switch::DropReason::kTtlExpired) {
+    F2T_LOG(simulator.logger(), sim::LogLevel::kDebug, simulator.now(),
+            sw.name() << ": TTL expired for " << packet.describe());
+  } else {
+    F2T_LOG(simulator.logger(), sim::LogLevel::kDebug, simulator.now(),
+            sw.name() << ": no route for " << packet.dst.str());
+  }
+}
+
+}  // namespace
+
 L3Switch::L3Switch(sim::Simulator& simulator, NodeId id, std::string name,
                    Ipv4Addr router_id)
     : Node(simulator, id, std::move(name)), router_id_(router_id) {}
@@ -61,15 +79,13 @@ bool L3Switch::forward(Packet packet, PortId ingress) {
       packet.ttl = 0;
       ++counters_.dropped_ttl;
       if (drop_handler_) drop_handler_(packet, DropReason::kTtlExpired);
-      F2T_LOG(sim_.logger(), sim::LogLevel::kDebug, sim_.now(),
-              name() << ": TTL expired for " << packet.describe());
+      log_drop(*this, packet, DropReason::kTtlExpired);
       return false;
     case Decision::Kind::kNoRoute:
       --packet.ttl;
       ++counters_.dropped_no_route;
       if (drop_handler_) drop_handler_(packet, DropReason::kNoRoute);
-      F2T_LOG(sim_.logger(), sim::LogLevel::kDebug, sim_.now(),
-              name() << ": no route for " << packet.dst.str());
+      log_drop(*this, packet, DropReason::kNoRoute);
       return false;
   }
   --packet.ttl;

@@ -2,26 +2,93 @@
 
 #include <algorithm>
 #include <bit>
+#include <iterator>
 #include <stdexcept>
+#include <utility>
 
 namespace f2t::routing {
 
-Route* Fib::Slot::find(RouteSource source) {
-  for (Route& r : by_source) {
-    if (r.source == source) return &r;
-  }
-  return nullptr;
+namespace {
+
+using RouteIt = std::vector<Route>::iterator;
+
+int distance(RouteSource source) { return static_cast<int>(source); }
+
+std::uint64_t length_bit(std::size_t length) {
+  return std::uint64_t{1} << length;
 }
 
-void Fib::Slot::recompute_best() {
-  best_idx = 0;
-  for (std::size_t i = 1; i < by_source.size(); ++i) {
-    if (static_cast<int>(by_source[i].source) <
-        static_cast<int>(by_source[best_idx].source)) {
-      best_idx = i;
-    }
-  }
+/// Entry order within one length: by address, then by administrative
+/// distance, so the first entry at an address is the one forwarding uses.
+template <typename Entry>
+bool ordered_before(const Entry& e, std::uint32_t address,
+                    RouteSource source) {
+  return e.address != address ? e.address < address
+                              : distance(e.source) < distance(source);
 }
+
+/// The first entry of one length's array not ordered before
+/// (address, source): the entry itself, or where it would go.
+template <typename Entries>
+auto locate(Entries& entries, std::uint32_t address, RouteSource source) {
+  return std::partition_point(
+      entries.begin(), entries.end(),
+      [&](const auto& e) { return ordered_before(e, address, source); });
+}
+
+template <typename Entries, typename It>
+bool is_entry(const Entries& entries, It it, std::uint32_t address,
+              RouteSource source) {
+  return it != entries.end() && it->address == address &&
+         it->source == source;
+}
+
+/// Walks one length's `entries` against the routes [first, last) of
+/// `source` at that length, sorted by address, and calls
+/// `out(address, source, hops)` for each entry of the merged array, in
+/// order: other sources' entries as they are, and the routes in place of
+/// `source`'s own. Of a prefix named twice only the last route counts.
+/// Returns the number of slots the merge writes: new or changed routes,
+/// plus entries of `source` that the routes drop.
+template <typename Entries, typename Out>
+std::size_t merge_walk(Entries& entries, RouteSource source, RouteIt first,
+                       RouteIt last, Out&& out) {
+  std::size_t writes = 0;
+  auto e = entries.begin();
+  // Passes the entries ordered before (address, source), or all that are
+  // left: another source's are kept, `source`'s are dropped.
+  const auto pass_before = [&](std::uint32_t address, bool to_end) {
+    for (;
+         e != entries.end() && (to_end || ordered_before(*e, address, source));
+         ++e) {
+      if (e->source == source) {
+        ++writes;
+      } else {
+        out(e->address, e->source, e->next_hops);
+      }
+    }
+  };
+  for (RouteIt r = first; r != last; ++r) {
+    const std::uint32_t address = r->prefix.address().value();
+    if (std::next(r) != last &&
+        std::next(r)->prefix.address().value() == address) {
+      continue;  // a later route for this prefix wins
+    }
+    pass_before(address, false);
+    const bool installed = is_entry(entries, e, address, source);
+    if (installed && e->next_hops == r->next_hops) {
+      out(address, source, e->next_hops);  // unchanged: no write
+    } else {
+      ++writes;
+      out(address, source, r->next_hops);
+    }
+    if (installed) ++e;
+  }
+  pass_before(0, true);
+  return writes;
+}
+
+}  // namespace
 
 void Fib::install(Route route) {
   if (route.next_hops.empty()) {
@@ -31,39 +98,30 @@ void Fib::install(Route route) {
   // No sort: a group's hops are in canonical order from construction,
   // which keeps ECMP hashing stable across runs.
   const auto length = static_cast<std::size_t>(route.prefix.length());
-  Slot& slot = by_length_[length][route.prefix.address().value()];
-  if (Route* existing = slot.find(route.source)) {
-    *existing = std::move(route);
+  const std::uint32_t address = route.prefix.address().value();
+  Entries& entries = by_length_[length];
+  const auto it = locate(entries, address, route.source);
+  if (is_entry(entries, it, address, route.source)) {
+    it->next_hops = std::move(route.next_hops);
   } else {
-    slot.by_source.push_back(std::move(route));
-    slot.recompute_best();
+    entries.insert(it,
+                   Entry{address, route.source, std::move(route.next_hops)});
     ++count_;
   }
-  nonempty_lengths_ |= std::uint64_t{1} << length;
-  ++generation_;
-  notify_changed();
+  nonempty_lengths_ |= length_bit(length);
+  note_writes(1);
 }
 
 void Fib::remove(const net::Prefix& prefix, RouteSource source) {
   const auto length = static_cast<std::size_t>(prefix.length());
-  auto& bucket = by_length_[length];
-  auto it = bucket.find(prefix.address().value());
-  if (it == bucket.end()) return;
-  auto& routes = it->second.by_source;
-  for (std::size_t i = 0; i < routes.size(); ++i) {
-    if (routes[i].source == source) {
-      routes.erase(routes.begin() + static_cast<std::ptrdiff_t>(i));
-      it->second.recompute_best();
-      --count_;
-      ++generation_;
-      notify_changed();
-      break;
-    }
-  }
-  if (routes.empty()) {
-    bucket.erase(it);
-    if (bucket.empty()) nonempty_lengths_ &= ~(std::uint64_t{1} << length);
-  }
+  const std::uint32_t address = prefix.address().value();
+  Entries& entries = by_length_[length];
+  const auto it = locate(entries, address, source);
+  if (!is_entry(entries, it, address, source)) return;
+  entries.erase(it);
+  --count_;
+  if (entries.empty()) nonempty_lengths_ &= ~length_bit(length);
+  note_writes(1);
 }
 
 std::size_t Fib::apply_source_delta(RouteSource source,
@@ -76,42 +134,63 @@ std::size_t Fib::apply_source_delta(RouteSource source,
           r.prefix.str());
     }
   }
+  // Group the set by length, each length in address order. The sort is
+  // stable, so the routes of a prefix named twice keep their order and
+  // the merge takes the last, as sequential installs would.
+  const auto by_length_then_address = [](const Route& a, const Route& b) {
+    return std::pair(a.prefix.length(), a.prefix.address()) <
+           std::pair(b.prefix.length(), b.prefix.address());
+  };
+  if (!std::is_sorted(routes.begin(), routes.end(), by_length_then_address)) {
+    std::stable_sort(routes.begin(), routes.end(), by_length_then_address);
+  }
   std::size_t touched = 0;
-  std::vector<net::Prefix> kept;
-  kept.reserve(routes.size());
-  for (Route& r : routes) {
-    r.source = source;
-    kept.push_back(r.prefix);
-    const auto length = static_cast<std::size_t>(r.prefix.length());
-    auto& bucket = by_length_[length];
-    if (const auto it = bucket.find(r.prefix.address().value());
-        it != bucket.end()) {
-      if (const Route* existing = it->second.find(source);
-          existing != nullptr && *existing == r) {
-        continue;  // identical entry already installed: zero writes
-      }
-    }
-    install(std::move(r));
-    ++touched;
-  }
-  // Removal pass: entries of `source` whose prefix the new set dropped.
-  std::sort(kept.begin(), kept.end());
-  std::vector<net::Prefix> stale;
-  for (const auto& bucket : by_length_) {
-    for (const auto& [key, slot] : bucket) {
-      for (const Route& r : slot.by_source) {
-        if (r.source != source) continue;
-        if (!std::binary_search(kept.begin(), kept.end(), r.prefix)) {
-          stale.push_back(r.prefix);
-        }
-      }
-    }
-  }
-  for (const net::Prefix& prefix : stale) {
-    remove(prefix, source);
-    ++touched;
+  RouteIt first = routes.begin();
+  for (std::size_t length = 0; length < by_length_.size(); ++length) {
+    const RouteIt last =
+        std::find_if(first, routes.end(), [length](const Route& r) {
+          return static_cast<std::size_t>(r.prefix.length()) != length;
+        });
+    touched += merge_length(length, source, first, last);
+    first = last;
   }
   return touched;
+}
+
+std::size_t Fib::merge_length(std::size_t length, RouteSource source,
+                              RouteIt first, RouteIt last) {
+  Entries& entries = by_length_[length];
+  // Count first, so a length whose slots all stay is left alone.
+  std::size_t size = 0;
+  const std::size_t writes =
+      merge_walk(entries, source, first, last,
+                 [&size](std::uint32_t, RouteSource, NextHopGroup&) {
+                   ++size;
+                 });
+  if (writes == 0) return 0;
+  Entries merged;
+  merged.reserve(size);
+  merge_walk(entries, source, first, last,
+             [&merged](std::uint32_t address, RouteSource s,
+                       NextHopGroup& hops) {
+               merged.push_back(Entry{address, s, std::move(hops)});
+             });
+  count_ = count_ - entries.size() + merged.size();
+  entries = std::move(merged);
+  if (entries.empty()) {
+    nonempty_lengths_ &= ~length_bit(length);
+  } else {
+    nonempty_lengths_ |= length_bit(length);
+  }
+  note_writes(writes);
+  return writes;
+}
+
+void Fib::note_writes(std::size_t slots) {
+  generation_ += slots;
+  for (std::size_t i = 0; i < slots; ++i) {
+    for (const auto& hook : change_hooks_) hook();
+  }
 }
 
 void Fib::lookup_walk(net::Ipv4Addr dst, PortStateView ports, HopVec& out,
@@ -121,18 +200,20 @@ void Fib::lookup_walk(net::Ipv4Addr dst, PortStateView ports, HopVec& out,
     // Highest set bit = longest populated prefix length still unvisited.
     const int length = 63 - std::countl_zero(lengths);
     lengths &= ~(std::uint64_t{1} << length);
-    const auto& bucket = by_length_[static_cast<std::size_t>(length)];
+    const Entries& entries = by_length_[static_cast<std::size_t>(length)];
     const std::uint32_t mask =
         length == 0 ? 0u : (~std::uint32_t{0} << (32 - length));
-    const auto it = bucket.find(dst.value() & mask);
-    if (it == bucket.end()) continue;
-    const Route* route = it->second.best();
-    if (route == nullptr) continue;
-    for (const NextHop& nh : route->next_hops) {
+    const std::uint32_t key = dst.value() & mask;
+    // The first entry at an address is its best source.
+    const auto it =
+        std::partition_point(entries.begin(), entries.end(),
+                             [key](const Entry& e) { return e.address < key; });
+    if (it == entries.end() || it->address != key) continue;
+    for (const NextHop& nh : it->next_hops) {
       if (ports(nh.port)) out.push_back(nh);
     }
     if (!out.empty()) {
-      if (source_out != nullptr) *source_out = route->source;
+      if (source_out != nullptr) *source_out = it->source;
       return;
     }
     // All next hops locally dead: fall through to the next-shorter prefix.
@@ -153,26 +234,27 @@ void Fib::lookup_into(net::Ipv4Addr dst, PortStateView ports, HopVec& out,
 
 std::optional<Route> Fib::find(const net::Prefix& prefix,
                                RouteSource source) const {
-  const auto& bucket = by_length_[static_cast<std::size_t>(prefix.length())];
-  const auto it = bucket.find(prefix.address().value());
-  if (it == bucket.end()) return std::nullopt;
-  for (const Route& r : it->second.by_source) {
-    if (r.source == source) return r;
-  }
-  return std::nullopt;
+  const std::uint32_t address = prefix.address().value();
+  const Entries& entries =
+      by_length_[static_cast<std::size_t>(prefix.length())];
+  const auto it = locate(entries, address, source);
+  if (!is_entry(entries, it, address, source)) return std::nullopt;
+  return Route{prefix, it->next_hops, source};
 }
 
 std::vector<Route> Fib::dump() const {
   std::vector<Route> out;
   out.reserve(count_);
-  for (const auto& bucket : by_length_) {
-    for (const auto& [key, slot] : bucket) {
-      for (const Route& r : slot.by_source) out.push_back(r);
+  for (std::size_t length = 0; length < by_length_.size(); ++length) {
+    for (const Entry& e : by_length_[length]) {
+      out.push_back(Route{net::Prefix(net::Ipv4Addr(e.address),
+                                      static_cast<int>(length)),
+                          e.next_hops, e.source});
     }
   }
   std::sort(out.begin(), out.end(), [](const Route& a, const Route& b) {
     if (a.prefix != b.prefix) return a.prefix < b.prefix;
-    return static_cast<int>(a.source) < static_cast<int>(b.source);
+    return distance(a.source) < distance(b.source);
   });
   return out;
 }

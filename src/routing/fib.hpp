@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "routing/route.hpp"
@@ -26,9 +25,11 @@ namespace f2t::routing {
 ///
 /// One entry is stored per (prefix, source); forwarding uses the best
 /// source (lowest administrative distance) per prefix, like a real RIB→FIB
-/// selection. The best source per slot is cached at install time, a bitmask
-/// tracks which prefix lengths are populated, and `lookup_into` resolves a
-/// destination without touching the heap — the data-plane fast path.
+/// selection. Each prefix length holds one flat array of entries sorted by
+/// (address, administrative distance), so the first entry at an address
+/// is its best source; a bitmask tracks which lengths are populated, and
+/// `lookup_into` binary-searches them without touching the heap — the
+/// data-plane fast path.
 class Fib {
  public:
   /// ECMP groups wider than this spill to the heap; production fabrics in
@@ -59,8 +60,9 @@ class Fib {
   /// entries are left alone, changed/new ones installed, and entries of
   /// `source` absent from `routes` removed. Returns the number of slots
   /// written (installs + removals). The final FIB state is that of
-  /// removing every route of `source` and installing `routes`, but an
-  /// empty delta performs no write and does not move `generation()` —
+  /// removing every route of `source` and installing `routes` in order
+  /// (a prefix named twice keeps its last route), but an empty delta
+  /// writes no slot, rebuilds no array and does not move `generation()` —
   /// which is what keeps `ResolvedRouteCache` entries warm across no-op
   /// SPF reinstalls.
   std::size_t apply_source_delta(RouteSource source, std::vector<Route> routes);
@@ -105,30 +107,35 @@ class Fib {
   std::size_t size() const { return count_; }
 
  private:
-  struct Slot {
-    // Routes for one prefix keyed by source; kept tiny (≤3 sources).
-    std::vector<Route> by_source;
-    // Index of the lowest-administrative-distance route, maintained on
-    // every slot mutation so lookups never rescan.
-    std::size_t best_idx = 0;
-
-    const Route* best() const {
-      return by_source.empty() ? nullptr : &by_source[best_idx];
-    }
-    Route* find(RouteSource source);
-    void recompute_best();
+  /// One (prefix, source) route at a known length; 32 bytes, no
+  /// allocation of its own.
+  struct Entry {
+    std::uint32_t address;
+    RouteSource source;
+    NextHopGroup next_hops;
   };
+  static_assert(sizeof(Entry) == 32);
+  using Entries = std::vector<Entry>;
+
+  /// Merges the routes [first, last) of `source`, all of prefix length
+  /// `length` and sorted by address, into that length's entries; returns
+  /// the number of slots written. Rebuilds the array, and notes the
+  /// writes, only when some slot changes.
+  std::size_t merge_length(std::size_t length, RouteSource source,
+                           std::vector<Route>::iterator first,
+                           std::vector<Route>::iterator last);
 
   void lookup_walk(net::Ipv4Addr dst, PortStateView ports, HopVec& out,
                    RouteSource* source_out) const;
 
-  void notify_changed() {
-    for (const auto& hook : change_hooks_) hook();
-  }
+  /// Accounts for `slots` written slots: one generation bump and one
+  /// call of every change hook each.
+  void note_writes(std::size_t slots);
 
-  // One hash map per prefix length; lookup probes lengths 32..0, skipping
-  // empty lengths via the bitmask (bit l set iff by_length_[l] nonempty).
-  std::array<std::unordered_map<std::uint32_t, Slot>, 33> by_length_;
+  // One sorted entry array per prefix length; lookup searches lengths
+  // 32..0, skipping empty lengths via the bitmask (bit l set iff
+  // by_length_[l] nonempty).
+  std::array<Entries, 33> by_length_;
   std::uint64_t nonempty_lengths_ = 0;
   std::size_t count_ = 0;
   std::uint64_t generation_ = 0;

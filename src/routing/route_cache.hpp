@@ -9,9 +9,9 @@ namespace f2t::routing {
 
 /// Memoizes fully resolved LPM lookups, keyed by destination address.
 ///
-/// Every per-hop forwarding decision funnels through `Fib::lookup`; in the
-/// steady state the answer for a given destination only changes when the
-/// FIB is written or a local port's detected state flips. The cache stores
+/// Every per-hop forwarding decision funnels through `Fib::lookup_into`; in
+/// the steady state the answer for a given destination only changes when
+/// the FIB is written or a local port's detected state flips. The cache stores
 /// the resolved next-hop set stamped with the *combined generation* it was
 /// computed under — `Fib::generation()` plus the owner's port-state epoch —
 /// and treats any stamp mismatch as a miss. That makes invalidation exact

@@ -1,10 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <random>
 #include <vector>
 
 #include "core/runner.hpp"
+#include "reference_fib.hpp"
 #include "routing/fib.hpp"
 
 namespace f2t::routing {
@@ -106,35 +108,86 @@ TEST(FibDelta, RejectsEmptyNextHopsLikeInstall) {
   EXPECT_EQ(hook_calls, 0);
 }
 
-// Property: after any sequence of deltas the FIB is indistinguishable
-// from a fresh one holding the static route plus the round's full set.
+// Property: after any sequence of deltas, each for one of the three
+// sources, the FIB is indistinguishable from a fresh one holding every
+// source's latest full set — in its dump, its size and its lookups — and
+// each written slot bumps the generation and fires the hooks once.
 TEST(FibDelta, EquivalentToReplaceSourceUnderChurn) {
   std::mt19937 rng(0xD17Au);
-  const Route static_route =
-      make("10.0.0.0/8", {{15, Ipv4Addr(8, 8, 8, 8)}}, RouteSource::kStatic);
-  Fib delta_fib;
-  delta_fib.install(static_route);
-
-  for (int round = 0; round < 200; ++round) {
-    std::vector<Route> desired;
-    for (int p = 0; p < 8; ++p) {
-      if (rng() % 2 == 0) continue;  // prefix absent this round
-      std::vector<NextHop> hops;
-      const int width = 1 + static_cast<int>(rng() % 3);
-      for (int hop = 0; hop < width; ++hop) {
-        const auto port = static_cast<net::PortId>(rng() % 4);
-        hops.push_back(NextHop{port, Ipv4Addr(10, 250, 0, port)});
-      }
-      desired.push_back(Route{Prefix(Ipv4Addr(10, 20, std::uint8_t(p), 0), 24),
-                              std::move(hops), RouteSource::kOspf});
+  const RouteSource sources[] = {RouteSource::kConnected,
+                                 RouteSource::kStatic, RouteSource::kOspf};
+  // Every length 0..32, with nested prefixes of one address so lookups
+  // fall through, drawn by every source: one prefix often carries a
+  // static and an OSPF route at once.
+  std::vector<Prefix> pool;
+  for (int length = 0; length <= 32; ++length) {
+    pool.push_back(Prefix(Ipv4Addr(10, 20, 3, 77), length));
+    pool.push_back(Prefix(Ipv4Addr(10, 20, std::uint8_t(rng() % 8),
+                                   std::uint8_t(rng())),
+                          length));
+  }
+  std::sort(pool.begin(), pool.end());
+  pool.erase(std::unique(pool.begin(), pool.end()), pool.end());
+  const auto random_hops = [&] {
+    std::vector<NextHop> hops;
+    const int width = 1 + static_cast<int>(rng() % 3);
+    for (int hop = 0; hop < width; ++hop) {
+      const auto port = static_cast<net::PortId>(rng() % 4);
+      hops.push_back(NextHop{port, Ipv4Addr(10, 250, 0, port)});
     }
+    return hops;
+  };
+
+  Fib delta_fib;
+  int hook_calls = 0;
+  delta_fib.add_change_hook([&] { ++hook_calls; });
+  std::map<RouteSource, std::vector<Route>> latest;
+  for (int round = 0; round < 300; ++round) {
+    SCOPED_TRACE(round);
+    const RouteSource source = sources[rng() % 3];
+    std::vector<Route> desired;
+    for (const Prefix& prefix : pool) {
+      if (rng() % 3 != 0) continue;  // prefix absent this round
+      desired.push_back(Route{prefix, random_hops(), source});
+    }
+    if (!desired.empty() && rng() % 4 == 0) {
+      // A prefix named twice: the later route must win.
+      Route twice{desired[rng() % desired.size()].prefix, random_hops(),
+                  source};
+      desired.insert(desired.begin() + static_cast<std::ptrdiff_t>(
+                                           rng() % (desired.size() + 1)),
+                     std::move(twice));
+    }
+    latest[source] = desired;
+
     Fib replace_fib;
-    replace_fib.install(static_route);
-    install_all(replace_fib, desired);
-    delta_fib.apply_source_delta(RouteSource::kOspf, std::move(desired));
-    ASSERT_TRUE(delta_fib.dump() == replace_fib.dump())
-        << "diverged at round " << round;
+    ReferenceFib reference;
+    for (const auto& [s, routes] : latest) {
+      for (const Route& route : routes) {
+        replace_fib.install(route);
+        reference.install(route);
+      }
+    }
+    const std::uint64_t generation = delta_fib.generation();
+    const int hooks_before = hook_calls;
+    const std::size_t touched =
+        delta_fib.apply_source_delta(source, std::move(desired));
+    ASSERT_TRUE(delta_fib.dump() == replace_fib.dump());
     ASSERT_EQ(delta_fib.size(), replace_fib.size());
+    ASSERT_EQ(delta_fib.generation() - generation, touched);
+    ASSERT_EQ(static_cast<std::size_t>(hook_calls - hooks_before), touched);
+
+    for (int probe = 0; probe < 16; ++probe) {
+      std::vector<bool> ports(4);
+      for (std::size_t p = 0; p < ports.size(); ++p) ports[p] = rng() % 4 != 0;
+      const Fib::PortStateView up{&ports};
+      const Ipv4Addr dst = probe % 2 == 0
+                               ? Ipv4Addr(10, 20, 3, 77)
+                               : Ipv4Addr(10, 20, std::uint8_t(rng() % 8),
+                                          std::uint8_t(rng()));
+      ASSERT_EQ(lookup(delta_fib, dst, up), reference.lookup(dst, up))
+          << "dst " << dst.str();
+    }
   }
 }
 

@@ -44,11 +44,12 @@ std::string echo(const CampaignSpec& spec) {
   return os.str();
 }
 
-/// One invalid value on every surface. `json` holds spec members (the
-/// topology and, unless given, conditions ["C1"] are added); `recover`
+/// One invalid value on every surface. `json` holds spec members (unless
+/// given, the topology f2-4 and conditions ["C1"] are added); `recover`
 /// and `campaign` hold the same value as flags, on top of --topo f2
 /// --ports 4 (and --conditions C1 unless given). `recover` is null for a
-/// campaign-only setting.
+/// campaign-only setting, and both are null for a value only a spec can
+/// hold (a flag outside `int` already fails as not an integer).
 struct InvalidValue {
   const char* json;
   const char* recover;
@@ -61,6 +62,9 @@ const InvalidValue kInvalidValues[] = {
     {R"("gray_loss": 2)", "--gray-loss 2", "--gray-loss 2"},
     {R"("flap_period_ms": 0)", "--flap-period-ms 0", "--flap-period-ms 0"},
     {R"("flap_cycles": 0)", "--flap-cycles 0", "--flap-cycles 0"},
+    {R"("detection_ms": -5)", "--detection-ms -5", "--detection-ms -5"},
+    {R"("spf_ms": -5)", "--spf-ms -5", "--spf-ms -5"},
+    {R"("spf_ms": 10001)", "--spf-ms 10001", "--spf-ms 10001"},
     {R"("detection": "psychic")", "--detection psychic",
      "--detection psychic"},
     {R"("fault": "meteor")", "--fault meteor", "--fault meteor"},
@@ -89,19 +93,27 @@ const InvalidValue kInvalidValues[] = {
     {R"("link_sites": -3)", nullptr, "--link-sites -3"},
     {R"("random_sites": -1)", nullptr, "--random-sites -1"},
     {R"("sample_interval_ms": -1)", nullptr, "--sample-interval-ms -1"},
+    // Narrowed to int these would read as a valid 1 and 4.
+    {R"("seeds": 4294967297)", nullptr, nullptr},
+    {R"("topologies": [{"name": "f2", "ports": 4294967300}])", nullptr,
+     nullptr},
 };
 
 TEST(SettingsPath, InvalidValuesFailAlikeOnEverySurface) {
   for (const InvalidValue& v : kInvalidValues) {
     SCOPED_TRACE(v.json);
     const std::string json = v.json;
+    const bool own_topologies = json.find("\"topologies\"") == 0;
     const bool own_conditions = json.find("\"conditions\"") == 0;
     const std::string spec =
-        std::string(R"({"topologies": [{"name": "f2", "ports": 4}], )") +
+        std::string("{") +
+        (own_topologies ? ""
+                        : R"("topologies": [{"name": "f2", "ports": 4}], )") +
         (own_conditions ? "" : R"("conditions": ["C1"], )") + json + "}";
     const std::string expected =
         error_of([&] { CampaignSpec::parse(spec); });
     ASSERT_FALSE(expected.empty()) << "the JSON spec must reject it";
+    if (v.campaign == nullptr) continue;
 
     if (v.recover != nullptr) {
       Cli cli = cli_of("recover",
