@@ -28,7 +28,7 @@
 #include "exec/campaign.hpp"
 #include "routing/ecmp.hpp"
 #include "routing/route_cache.hpp"
-#include "sim/event_queue.hpp"
+#include "sim/event.hpp"
 #include "topo/addressing.hpp"
 
 using namespace f2t;
@@ -430,30 +430,18 @@ void BM_SchedulerCancelChurn(benchmark::State& state) {
 }
 BENCHMARK(BM_SchedulerCancelChurn);
 
-// Raw key-queue schedule/pop, calendar vs a binary heap (the queue the
-// calendar replaced), under the hold model (pop one, push one at a later
-// time) that dominates a discrete-event run. The comparison is honest in
-// both directions: the flat heap's cache locality wins at small
-// populations (~1.3x at 16k keys), the calendar's O(1) hold wins once
-// the heap's log-depth outgrows the cache (crossover between 16k and
-// 262k on this box) — the event populations the widened address plan's
-// big fabrics generate.
-using BinaryHeapKeys =
-    std::priority_queue<sim::EventKey, std::vector<sim::EventKey>,
-                        std::greater<>>;
-
-sim::EventKey pop_min(sim::CalendarQueue& q) { return q.pop(); }
-sim::EventKey pop_min(BinaryHeapKeys& q) {
-  const sim::EventKey k = q.top();
-  q.pop();
-  return k;
-}
-
-template <typename Queue>
-void key_queue_hold(benchmark::State& state) {
+// Raw key-queue schedule/pop on the scheduler's queue, a binary heap of
+// (at, id) keys, under the hold model (pop one, push one at a later
+// time) that dominates a discrete-event run. The 1k and 16k rows span
+// the pending-event populations of the benchmark's packet runs (about
+// 9k keys at most in packet-tcp-k8); 262k is a far larger fabric's.
+void BM_BinaryHeapQueueHold(benchmark::State& state) {
+  using BinaryHeapKeys =
+      std::priority_queue<sim::EventKey, std::vector<sim::EventKey>,
+                          std::greater<>>;
   const int n = static_cast<int>(state.range(0));
   for (auto _ : state) {
-    Queue q;
+    BinaryHeapKeys q;
     sim::EventId id = 1;
     // Seed a steady-state population with CBR-like spacing plus jitter.
     std::uint64_t salt = 0x9e3779b97f4a7c15ull;
@@ -464,23 +452,15 @@ void key_queue_hold(benchmark::State& state) {
               id++});
     }
     for (int i = 0; i < 4 * n; ++i) {
-      const sim::EventKey k = pop_min(q);
+      const sim::EventKey k = q.top();
+      q.pop();
       salt ^= salt << 13; salt ^= salt >> 7; salt ^= salt << 17;
       q.push({k.at + 1000 + static_cast<sim::Time>(salt % 997), id++});
     }
     benchmark::DoNotOptimize(q.size());
   }
 }
-
-void BM_BinaryHeapQueueHold(benchmark::State& state) {
-  key_queue_hold<BinaryHeapKeys>(state);
-}
 BENCHMARK(BM_BinaryHeapQueueHold)->Arg(1024)->Arg(16384)->Arg(262144);
-
-void BM_CalendarQueueHold(benchmark::State& state) {
-  key_queue_hold<sim::CalendarQueue>(state);
-}
-BENCHMARK(BM_CalendarQueueHold)->Arg(1024)->Arg(16384)->Arg(262144);
 
 void BM_BuildTopology(benchmark::State& state) {
   const int ports = static_cast<int>(state.range(0));
@@ -542,9 +522,15 @@ void BM_EndToEndTcpWorkloadSecond(benchmark::State& state) {
 }
 BENCHMARK(BM_EndToEndTcpWorkloadSecond)->Unit(benchmark::kMillisecond);
 
-/// Console output as usual, plus every run captured as a BenchResult.
-class CollectingReporter : public benchmark::ConsoleReporter {
+/// The display the library builds from --benchmark_format and
+/// --benchmark_color (colour only when asked, or on a terminal under
+/// "auto"), plus every run captured as a BenchResult. Construct it after
+/// benchmark::Initialize has read the flags.
+class CollectingReporter : public benchmark::BenchmarkReporter {
  public:
+  bool ReportContext(const Context& context) override {
+    return display_->ReportContext(context);
+  }
   void ReportRuns(const std::vector<Run>& runs) override {
     for (const Run& run : runs) {
       if (run.error_occurred) continue;
@@ -552,10 +538,15 @@ class CollectingReporter : public benchmark::ConsoleReporter {
           run.benchmark_name(), "real_time", run.GetAdjustedRealTime(),
           benchmark::GetTimeUnitString(run.time_unit)});
     }
-    ConsoleReporter::ReportRuns(runs);
+    display_->ReportRuns(runs);
   }
+  void Finalize() override { display_->Finalize(); }
 
   std::vector<f2t::bench::BenchResult> results;
+
+ private:
+  benchmark::BenchmarkReporter* display_ =  // owned by the library
+      benchmark::CreateDefaultDisplayReporter();
 };
 
 double find_time(const std::vector<f2t::bench::BenchResult>& results,
@@ -589,10 +580,6 @@ int main(int argc, char** argv) {
        "BM_FibLookupInto/256"},
       {"SpfFirstHopsBitset_speedup", "BM_SpfFirstHopsStdSet",
        "BM_SpfFirstHopsBitset"},
-      {"CalendarQueue_speedup/16384", "BM_BinaryHeapQueueHold/16384",
-       "BM_CalendarQueueHold/16384"},
-      {"CalendarQueue_speedup/262144", "BM_BinaryHeapQueueHold/262144",
-       "BM_CalendarQueueHold/262144"},
   };
   for (const auto& ratio : ratios) {
     const double numer = find_time(results, ratio.numer);

@@ -81,6 +81,17 @@ int to_int(std::string_view what, std::int64_t value) {
   return static_cast<int>(value);
 }
 
+/// A spec's JSON millisecond count for a time setting; throws, naming
+/// the setting, unless it is >= 0 and its nanoseconds fit in sim::Time.
+sim::Time to_time_ms(std::string_view what, std::int64_t value) {
+  constexpr std::int64_t kMaxMs =
+      std::numeric_limits<sim::Time>::max() / sim::millis(1);
+  if (value < 0 || value > kMaxMs) {
+    reject(what, " must be in [0, ", kMaxMs, "], got ", value);
+  }
+  return sim::millis(value);
+}
+
 void check_known_keys(const json::Value& obj,
                       std::initializer_list<std::string_view> known,
                       const char* where) {
@@ -141,6 +152,9 @@ void CampaignSpec::validate() const {
     reject("link_sites must be >= 0 or \"all\", got ", link_sites);
   }
   check_at_least("seeds", seeds, 1);
+  if (fail_at < 0) {
+    reject("fail_at_ms must be >= 0, got ", sim::to_millis(fail_at));
+  }
   if (horizon <= fail_at) reject("horizon_ms must exceed fail_at_ms");
   check_at_least("detection_ms", detection_ms, 0);
   // The SPF throttle refuses an initial delay above its backoff cap.
@@ -233,10 +247,10 @@ CampaignSpec CampaignSpec::from_json(const json::Value& doc) {
       doc.int_or("base_seed", static_cast<std::int64_t>(spec.base_seed)));
   spec.detection_ms = int_or("detection_ms", spec.detection_ms);
   spec.spf_ms = int_or("spf_ms", spec.spf_ms);
-  spec.fail_at =
-      sim::millis(doc.int_or("fail_at_ms", spec.fail_at / sim::millis(1)));
-  spec.horizon =
-      sim::millis(doc.int_or("horizon_ms", spec.horizon / sim::millis(1)));
+  spec.fail_at = to_time_ms(
+      "fail_at_ms", doc.int_or("fail_at_ms", spec.fail_at / sim::millis(1)));
+  spec.horizon = to_time_ms(
+      "horizon_ms", doc.int_or("horizon_ms", spec.horizon / sim::millis(1)));
   spec.detection = doc.string_or("detection", spec.detection);
   spec.bfd_tx_ms = int_or("bfd_tx_ms", spec.bfd_tx_ms);
   spec.bfd_multiplier = int_or("bfd_multiplier", spec.bfd_multiplier);

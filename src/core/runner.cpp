@@ -59,10 +59,10 @@ Testbed::TopoBuilder topology_builder(const std::string& name, int ports,
 namespace {
 
 /// Runs the simulation to the horizon. The engine profile (event count,
-/// wall clock, calendar-queue stats) is always filled — the campaign
-/// engine accounts for work per shard without paying for full
-/// observation; the journal and metrics snapshot are only collected when
-/// observation is on, and the sampler report only when sampling is.
+/// wall clock) is always filled — the campaign engine accounts for work
+/// per shard without paying for full observation; the journal and
+/// metrics snapshot are only collected when observation is on, and the
+/// sampler report only when sampling is.
 void run_and_observe(Testbed& bed, sim::Time horizon,
                      obs::RunObservation& observation) {
   const auto wall_start = std::chrono::steady_clock::now();
@@ -72,7 +72,6 @@ void run_and_observe(Testbed& bed, sim::Time horizon,
   observation.profile.events_executed = executed;
   observation.profile.wall_seconds = wall.count();
   observation.profile.sim_seconds = sim::to_seconds(bed.sim().now());
-  observation.profile.queue = bed.sim().scheduler().queue_stats();
   if (bed.sampling()) observation.samples = bed.sampler().report();
   if (!bed.observing()) return;
   observation.enabled = true;

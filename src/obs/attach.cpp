@@ -253,19 +253,6 @@ void register_metrics(MetricsRegistry& registry, sim::Simulator& sim) {
   registry.register_probe("sim.events_executed", [&sim]() {
     return static_cast<double>(sim.scheduler().executed_count());
   });
-  registry.register_probe("sim.calendar.rebuilds", [&sim]() {
-    return static_cast<double>(sim.scheduler().queue_stats().rebuilds());
-  });
-  registry.register_probe("sim.calendar.far_jumps", [&sim]() {
-    return static_cast<double>(sim.scheduler().queue_stats().far_jumps);
-  });
-  registry.register_probe("sim.calendar.max_bucket_depth", [&sim]() {
-    return static_cast<double>(
-        sim.scheduler().queue_stats().max_bucket_depth);
-  });
-  registry.register_probe("sim.calendar.buckets", [&sim]() {
-    return static_cast<double>(sim.scheduler().queue_stats().bucket_count);
-  });
 }
 
 void attach_journal(sim::Simulator& sim, routing::BfdManager& bfd,

@@ -75,7 +75,7 @@ struct SamplerReport {
   void write_jsonl(std::ostream& os) const;
 };
 
-/// Periodic telemetry sampler driven by the calendar-queue scheduler.
+/// Periodic telemetry sampler driven by the scheduler.
 ///
 /// Sources are registered before the first tick fires: gauges snapshot a
 /// probe's value as-is; rate sources keep the probe's previous value and

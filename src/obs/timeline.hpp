@@ -6,14 +6,12 @@
 #include "obs/journal.hpp"
 #include "obs/metrics.hpp"
 #include "obs/sampler.hpp"
-#include "sim/event_queue.hpp"
 
 namespace f2t::obs {
 
 /// Engine self-profiling for one run: how much discrete-event work the
-/// simulation did, how fast the host executed it, where the wall clock
-/// went (setup vs the event loop vs collection), and how the calendar
-/// queue behaved (geometry churn, pile-up depth).
+/// simulation did, how fast the host executed it, and where the wall
+/// clock went (setup vs the event loop vs collection).
 struct EngineProfile {
   std::size_t events_executed = 0;
   double wall_seconds = 0;  ///< the event loop only
@@ -23,7 +21,6 @@ struct EngineProfile {
   /// the runner; zero when the caller drives the Testbed directly.
   double setup_wall_seconds = 0;
   double collect_wall_seconds = 0;
-  sim::CalendarStats queue;  ///< scheduler calendar-queue self-profile
 
   double events_per_wall_second() const {
     return wall_seconds > 0 ? static_cast<double>(events_executed) /

@@ -2,6 +2,8 @@
 
 #include <cstdint>
 
+#include "sim/time.hpp"
+
 namespace f2t::sim {
 
 /// Identifier of a scheduled event; used to cancel pending events.
@@ -25,5 +27,23 @@ inline constexpr EventId kEventSlotMask = (EventId{1} << kEventSlotBits) - 1;
 constexpr std::uint32_t event_slot(EventId id) {
   return static_cast<std::uint32_t>(id & kEventSlotMask);
 }
+
+/// Ordering key of a scheduled event. Min-ordering is (at, id): earliest
+/// time first, then earliest id — FIFO among same-timestamp events, which
+/// is what keeps two runs with the same inputs executing events in the
+/// same order.
+struct EventKey {
+  Time at = 0;
+  EventId id = kInvalidEventId;
+
+  friend bool operator==(const EventKey& a, const EventKey& b) {
+    return a.at == b.at && a.id == b.id;
+  }
+  friend bool operator<(const EventKey& a, const EventKey& b) {
+    if (a.at != b.at) return a.at < b.at;
+    return a.id < b.id;
+  }
+  friend bool operator>(const EventKey& a, const EventKey& b) { return b < a; }
+};
 
 }  // namespace f2t::sim

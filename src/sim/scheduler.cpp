@@ -50,6 +50,7 @@ EventId Scheduler::commit(std::uint32_t index, Time at) {
     slot.ops->destroy(slot.storage);
     throw;
   }
+  if (queue_.size() > peak_queued_) peak_queued_ = queue_.size();
   free_.pop_back();
   slot.id = id;
   ++next_seq_;
@@ -68,8 +69,9 @@ void Scheduler::cancel(EventId id) {
 }
 
 const EventKey* Scheduler::live_head() {
-  while (const EventKey* head = queue_.peek()) {
-    if (slot_at(event_slot(head->id)).id == head->id) return head;
+  while (!queue_.empty()) {
+    const EventKey& head = queue_.top();
+    if (slot_at(event_slot(head.id)).id == head.id) return &head;
     queue_.pop();  // cancelled: the slot no longer holds this id
   }
   return nullptr;
@@ -83,7 +85,8 @@ Time Scheduler::next_event_time() {
 bool Scheduler::step(Time until) {
   const EventKey* head = live_head();
   if (head == nullptr || head->at > until) return false;
-  const EventKey ev = queue_.pop();
+  const EventKey ev = *head;
+  queue_.pop();
   const std::uint32_t index = event_slot(ev.id);
   Slot& slot = slot_at(index);
   // No longer pending: a cancel of this id from inside the action is a
@@ -105,10 +108,7 @@ bool Scheduler::step(Time until) {
 std::size_t Scheduler::run(Time until) {
   std::size_t n = 0;
   while (step(until)) ++n;
-  if (until != kNever && now_ < until) {
-    now_ = until;
-    queue_.advance(until);
-  }
+  if (until != kNever && now_ < until) now_ = until;
   return n;
 }
 

@@ -5,23 +5,35 @@
 #include <functional>
 #include <memory>
 #include <new>
+#include <queue>
 #include <stdexcept>
 #include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "sim/event.hpp"
-#include "sim/event_queue.hpp"
 #include "sim/time.hpp"
 
 namespace f2t::sim {
 
+/// The event queue's self-profile. perfbench's traced run reads exactly
+/// these three (sim.calendar_rebuilds, sim.max_bucket_depth,
+/// sim.buckets_at_failure), so they keep the shape of the calendar queue
+/// the scheduler once used: one binary heap is one bucket that never
+/// rebuilds.
+struct CalendarStats {
+  /// Peak queue length, counting cancelled keys still queued.
+  std::size_t max_bucket_depth = 0;
+  std::size_t bucket_count = 1;
+
+  std::uint64_t rebuilds() const { return 0; }
+};
+
 /// Deterministic discrete-event scheduler.
 ///
-/// A calendar (bucket) queue of (time, id) keys — see sim/event_queue.hpp
-/// — guarantees that two runs with the same inputs execute events in the
-/// same order: pop order is strictly (time, id)-minimal, FIFO among
-/// same-timestamp events, independent of the calendar's bucket geometry.
+/// One binary min-heap of (time, id) keys guarantees that two runs with
+/// the same inputs execute events in the same order: pop order is
+/// strictly (time, id)-minimal, FIFO among same-timestamp events.
 ///
 /// Each pending event's action lives in a slot of a slot table whose
 /// storage comes in fixed-size chunks that never move. The action is
@@ -92,9 +104,11 @@ class Scheduler {
 
   std::size_t executed_count() const { return executed_; }
 
-  /// The calendar queue's self-profile (geometry churn, pile-up depth);
-  /// see sim::CalendarStats. Always maintained, read on demand.
-  CalendarStats queue_stats() const { return queue_.stats(); }
+  /// The queue's self-profile; see sim::CalendarStats. Always
+  /// maintained, read on demand.
+  CalendarStats queue_stats() const {
+    return CalendarStats{.max_bucket_depth = peak_queued_};
+  }
 
   /// Number of cancelled events whose keys still wait in the queue to be
   /// dropped; bounded by the queue size (tests assert no tombstone growth).
@@ -181,7 +195,8 @@ class Scheduler {
   /// Drops cancelled keys from the head; returns the live head or nullptr.
   const EventKey* live_head();
 
-  CalendarQueue queue_;
+  std::priority_queue<EventKey, std::vector<EventKey>, std::greater<>> queue_;
+  std::size_t peak_queued_ = 0;  ///< largest queue_.size() seen
   std::vector<std::unique_ptr<Slot[]>> chunks_;  ///< never move once made
   std::vector<std::uint32_t> free_;  ///< capacity >= slot_count(), LIFO
   Time now_ = 0;

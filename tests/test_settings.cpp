@@ -97,6 +97,10 @@ const InvalidValue kInvalidValues[] = {
     {R"("seeds": 4294967297)", nullptr, nullptr},
     {R"("topologies": [{"name": "f2", "ports": 4294967300}])", nullptr,
      nullptr},
+    // Times are spec-only: in nanoseconds these would overflow sim::Time,
+    // or fail the run inside the scheduler.
+    {R"("horizon_ms": 9300000000000)", nullptr, nullptr},
+    {R"("fail_at_ms": -5)", nullptr, nullptr},
 };
 
 TEST(SettingsPath, InvalidValuesFailAlikeOnEverySurface) {
@@ -132,6 +136,30 @@ TEST(SettingsPath, InvalidValuesFailAlikeOnEverySurface) {
     EXPECT_EQ(error_of([&] { CampaignSpec::from_campaign_flags(cli); }),
               expected);
   }
+}
+
+TEST(SettingsPath, SpecTimesOutOfRangeNameTheirKey) {
+  const auto parse_error = [](const std::string& member) {
+    return error_of([&] {
+      CampaignSpec::parse(R"({"topologies": [{"name": "f2", "ports": 4}], )"
+                          R"("conditions": ["C1"], )" +
+                          member + "}");
+    });
+  };
+  EXPECT_EQ(parse_error(R"("horizon_ms": 9300000000000)"),
+            "horizon_ms must be in [0, 9223372036854], got 9300000000000");
+  EXPECT_EQ(parse_error(R"("fail_at_ms": -5)"),
+            "fail_at_ms must be in [0, 9223372036854], got -5");
+  EXPECT_EQ(parse_error(R"("fail_at_ms": 9223372036854, )"
+                        R"("horizon_ms": 9223372036854)"),
+            "horizon_ms must exceed fail_at_ms");
+  // A spec built in code meets the same sign rule in validate().
+  CampaignSpec spec =
+      CampaignSpec::parse(R"({"topologies": [{"name": "f2", "ports": 4}],
+                              "conditions": ["C1"]})");
+  spec.fail_at = -sim::millis(5);
+  EXPECT_EQ(error_of([&] { spec.validate(); }),
+            "fail_at_ms must be >= 0, got -5");
 }
 
 TEST(SettingsPath, RecoverLeavesCampaignFlagsUnknown) {
