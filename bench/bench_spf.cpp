@@ -207,7 +207,10 @@ double central_converge_ms(int ports, int reps) {
 /// converged k-port fat tree with one host per ToR: one ToR–aggregation
 /// link fails, and sim().run is timed from the failure until the last
 /// push lands; `reps` fresh fabrics. Returns a negative value when the
-/// run did not end in exactly one recompute pushed to every switch.
+/// run did not end in exactly one recompute pushed to every switch, or
+/// when a converge() after it, which fills every column and applies
+/// whole route sets, writes any FIB slot: the recompute's changed-route
+/// pushes must leave every FIB as the full computation has it.
 double central_recompute_ms(int ports, int reps) {
   core::TestbedConfig config;
   config.control_plane = core::ControlPlane::kCentral;
@@ -231,9 +234,17 @@ double central_recompute_ms(int ports, int reps) {
     bed.sim().run(sim::seconds(1));
     samples.push_back(ns_between(t0, Clock::now()) / 1e6);
     const auto& counters = bed.controller().counters();
-    if (counters.computations != 2 ||
-        counters.fib_pushes != bed.topo().all_switches().size()) {
+    const auto switches = bed.topo().all_switches();
+    if (counters.computations != 2 || counters.fib_pushes != switches.size()) {
       return -1;
+    }
+    std::vector<std::uint64_t> generations;
+    for (const net::L3Switch* sw : switches) {
+      generations.push_back(sw->fib().generation());
+    }
+    bed.controller().converge();
+    for (std::size_t s = 0; s < switches.size(); ++s) {
+      if (switches[s]->fib().generation() != generations[s]) return -1;
     }
   }
   std::sort(samples.begin(), samples.end());
@@ -302,7 +313,8 @@ int main() {
   }
   if (recompute_ms < 0) {
     std::cerr << "bench_spf: the failure did not cause exactly one "
-                 "recompute pushed to every switch\n";
+                 "recompute pushed to every switch, or a converge() after "
+                 "it rewrote a FIB\n";
     return 1;
   }
   if (!bench::write_bench_json("spf", results)) {

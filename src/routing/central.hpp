@@ -44,7 +44,8 @@ class CentralController {
   /// Registers a switch (and optionally the prefixes it originates, e.g.
   /// a ToR's rack subnet). Call for every switch before converge(). Throws
   /// std::invalid_argument for a switch managed twice or a prefix another
-  /// managed switch already originates: every prefix has one origin.
+  /// managed switch already originates or the list names twice: every
+  /// prefix has one origin and one route per switch.
   void manage(net::L3Switch& sw, std::vector<net::Prefix> prefixes = {});
 
   /// Computes routes from the current global view and installs them on
@@ -67,14 +68,24 @@ class CentralController {
     std::vector<LocalAdjacency> adjacency;
   };
 
+  class SavedColumns;
+
   void on_report(net::L3Switch& sw);
   void recompute_and_push();
   LsaPtr view_of(const Managed& m) const;
-  /// Builds the global view (bumping its version) and fills rows_ and
-  /// emit_order_ from it. Shared by converge and every recompute.
-  void compute_rows();
-  /// `m`'s routes read off its neighbors' rows in rows_.
-  std::vector<Route> routes_of(const Managed& m) const;
+  /// Brings view_ up to every switch's live links (bumping its version)
+  /// and sets routers_, targets_ and emit_order_ from it. Shared by
+  /// converge and every recompute.
+  void refresh_view();
+  /// `m`'s routes over `adjacency` and the rows in rows_, for the
+  /// destinations of `columns` in that order. With `before`, only the
+  /// routes that differ from those over m.adjacency and the previous rows
+  /// are emitted, and a destination no longer reached gets a route
+  /// without next hops: a removal.
+  std::vector<Route> routes_of(const Managed& m,
+                               const std::vector<LocalAdjacency>& adjacency,
+                               const std::vector<std::size_t>& columns,
+                               const SavedColumns* before) const;
 
   CentralConfig config_;
   std::vector<Managed> switches_;
@@ -82,13 +93,20 @@ class CentralController {
   std::unordered_set<net::Prefix> originated_;
   /// switches_ index of each row column: the switches with prefixes.
   std::vector<std::size_t> destinations_;
+  /// The controller's global view, kept across computations so that its
+  /// graph's change log says what changed since the last one.
+  Lsdb view_;
+  /// view_'s router index of each switch (a row) and of each column.
+  std::vector<RouterIndex> routers_;
+  std::vector<RouterIndex> targets_;
   /// Row columns in the view's router-index order, compute_spf's
   /// destination order.
   std::vector<std::size_t> emit_order_;
   /// Node-major distances of the last computation: rows_[m · width + d]
   /// is switches_[m]'s distance to column d's switch.
   std::vector<int> rows_;
-  /// Set when the next recompute must rebuild every switch's routes: a
+  /// Set when the next recompute must fill every column and push every
+  /// switch its whole route set, because the FIBs may not match rows_: a
   /// switch was added, or a push in flight at converge() lands over it.
   bool rebuild_all_ = true;
   std::size_t pushes_in_flight_ = 0;

@@ -43,17 +43,27 @@ bool is_entry(const Entries& entries, It it, std::uint32_t address,
          it->source == source;
 }
 
+/// The slots one length's merge writes, and how many of them replace the
+/// group of an entry the merge keeps.
+struct MergeWrites {
+  std::size_t writes = 0;
+  std::size_t replaced = 0;
+};
+
 /// Walks one length's `entries` against the routes [first, last) of
 /// `source` at that length, sorted by address, and calls
 /// `out(address, source, hops)` for each entry of the merged array, in
 /// order: other sources' entries as they are, and the routes in place of
 /// `source`'s own. Of a prefix named twice only the last route counts.
-/// Returns the number of slots the merge writes: new or changed routes,
-/// plus entries of `source` that the routes drop.
+/// A route that changes an installed entry's group replaces it in the
+/// entry itself. Counts the slots the merge writes: new or changed
+/// routes, plus entries of `source` that the routes drop. When all are
+/// replacements, the walk has done the merge; otherwise the entries
+/// still merge as before, since a replaced group now reads as unchanged.
 template <typename Entries, typename Out>
-std::size_t merge_walk(Entries& entries, RouteSource source, RouteIt first,
+MergeWrites merge_walk(Entries& entries, RouteSource source, RouteIt first,
                        RouteIt last, Out&& out) {
-  std::size_t writes = 0;
+  MergeWrites count;
   auto e = entries.begin();
   // Passes the entries ordered before (address, source), or all that are
   // left: another source's are kept, `source`'s are dropped.
@@ -62,7 +72,7 @@ std::size_t merge_walk(Entries& entries, RouteSource source, RouteIt first,
          e != entries.end() && (to_end || ordered_before(*e, address, source));
          ++e) {
       if (e->source == source) {
-        ++writes;
+        ++count.writes;
       } else {
         out(e->address, e->source, e->next_hops);
       }
@@ -76,16 +86,21 @@ std::size_t merge_walk(Entries& entries, RouteSource source, RouteIt first,
     }
     pass_before(address, false);
     const bool installed = is_entry(entries, e, address, source);
-    if (installed && e->next_hops == r->next_hops) {
-      out(address, source, e->next_hops);  // unchanged: no write
+    if (installed) {
+      if (!(e->next_hops == r->next_hops)) {
+        ++count.writes;
+        ++count.replaced;
+        e->next_hops = r->next_hops;
+      }
+      out(address, source, e->next_hops);
+      ++e;
     } else {
-      ++writes;
+      ++count.writes;
       out(address, source, r->next_hops);
     }
-    if (installed) ++e;
   }
   pass_before(0, true);
-  return writes;
+  return count;
 }
 
 }  // namespace
@@ -160,14 +175,18 @@ std::size_t Fib::apply_source_delta(RouteSource source,
 std::size_t Fib::merge_length(std::size_t length, RouteSource source,
                               RouteIt first, RouteIt last) {
   Entries& entries = by_length_[length];
-  // Count first, so a length whose slots all stay is left alone.
+  // The first walk counts the writes and replaces changed groups in
+  // place, so a length that keeps every entry is done after it (and one
+  // whose slots all stay is left alone); one that adds or drops an entry
+  // is rebuilt.
   std::size_t size = 0;
-  const std::size_t writes =
-      merge_walk(entries, source, first, last,
-                 [&size](std::uint32_t, RouteSource, NextHopGroup&) {
-                   ++size;
-                 });
-  if (writes == 0) return 0;
+  const MergeWrites count = merge_walk(
+      entries, source, first, last,
+      [&size](std::uint32_t, RouteSource, NextHopGroup&) { ++size; });
+  if (count.writes == count.replaced) {
+    note_writes(count.writes);
+    return count.writes;
+  }
   Entries merged;
   merged.reserve(size);
   merge_walk(entries, source, first, last,
@@ -182,8 +201,8 @@ std::size_t Fib::merge_length(std::size_t length, RouteSource source,
   } else {
     nonempty_lengths_ |= length_bit(length);
   }
-  note_writes(writes);
-  return writes;
+  note_writes(count.writes);
+  return count.writes;
 }
 
 void Fib::note_writes(std::size_t slots) {

@@ -119,8 +119,9 @@ class Fib {
 
   /// Merges the routes [first, last) of `source`, all of prefix length
   /// `length` and sorted by address, into that length's entries; returns
-  /// the number of slots written. Rebuilds the array, and notes the
-  /// writes, only when some slot changes.
+  /// the number of slots written. Touches the array, and notes the
+  /// writes, only when some slot changes: a merge that only replaces
+  /// groups assigns them in place, any other rebuilds the array.
   std::size_t merge_length(std::size_t length, RouteSource source,
                            std::vector<Route>::iterator first,
                            std::vector<Route>::iterator last);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <numeric>
 #include <stdexcept>
 
 #include "net/l3switch.hpp"
@@ -193,6 +194,7 @@ std::vector<Route> compute_spf(const Lsdb& lsdb, net::Ipv4Addr self,
 void reverse_spf_rows(const LinkStateGraph& g,
                       const std::vector<RouterIndex>& routers,
                       const std::vector<RouterIndex>& destinations,
+                      const std::vector<std::size_t>& columns,
                       std::vector<int>& rows) {
   // Dial's bucket queue. While distance d is being settled every queued
   // distance lies in [d, d + max_cost], so max_cost + 1 circular buckets
@@ -213,9 +215,9 @@ void reverse_spf_rows(const LinkStateGraph& g,
   std::vector<std::vector<RouterIndex>> buckets(
       static_cast<std::size_t>(max_cost) + 1);
   const std::size_t width = destinations.size();
-  rows.assign(routers.size() * width, SpfArrays::kUnreached);
+  rows.resize(routers.size() * width, SpfArrays::kUnreached);
   SpfArrays& a = g.scratch();
-  for (std::size_t d = 0; d < width; ++d) {
+  for (const std::size_t d : columns) {
     a.begin(g.node_count(), 0);
     a.touch(destinations[d]);
     a.dist[destinations[d]] = 0;
@@ -248,6 +250,98 @@ void reverse_spf_rows(const LinkStateGraph& g,
     for (std::size_t r = 0; r < routers.size(); ++r) {
       rows[r * width + d] = a.distance(routers[r]);
     }
+  }
+}
+
+/// Let D be the rows on the graph at `since` and D' those on the graph
+/// now; a hop x→y costs x's advertised cost c, as in reverse_spf_rows.
+/// Column d is stale when an event since `since` can move it:
+///
+///  - a pair went down (kLinkDown), either direction x→y with its removed
+///    cost c: D[x][d] = D[y][d] + c (the hop was on a shortest path) and
+///    x has no two-way hop left to a z with D[z][d] + cost(x→z) = D[x][d];
+///  - a pair came up (kLinkUp), either direction x→y with its new cost c:
+///    D[y][d] is reached and D[x][d] is unreached or above D[y][d] + c.
+///
+/// kOriginOnly events change no two-way edge and make nothing stale.
+///
+/// Why a column d that no event makes stale has D' = D, for positive
+/// costs. D' ≤ D: every reached x ≠ d had a hop x→y with D[x] = D[y] + c.
+/// If that hop is still there, or its pair went down but x kept another
+/// such hop to a z, x has a hop now to a node strictly closer under D
+/// (costs are positive) whose D it tightly extends. By induction on D,
+/// every node keeps a path of length D, so D' ≤ D. D' ≥ D: D satisfies
+/// D[x] ≤ cost(x→y) + D[y] on every hop of the graph now, on the hops it
+/// was exact on and, by the second rule, on every hop that came up, so
+/// no path is shorter than D. A pair that went down and came back up in
+/// one batch is one removal and one addition, each checked with the
+/// costs its event carries: a pair two-way at `since` carries its costs
+/// then on its first kLinkDown, and a pair two-way now its costs now on
+/// its last kLinkUp.
+/// Without positive costs a tight hop can lead back to x, so a
+/// non-positive cost anywhere, in the graph or on a pair's event, or a
+/// cost change (whose event carries no old cost for the second rule),
+/// makes every column stale, as does a trimmed log or a router without a
+/// row. These mirror `SpfSolver`'s fallbacks.
+void stale_columns(const LinkStateGraph& g, std::uint64_t since,
+                   const std::vector<RouterIndex>& routers,
+                   const std::vector<RouterIndex>& destinations,
+                   const std::vector<int>& rows,
+                   std::vector<std::size_t>& columns) {
+  constexpr int kUnreached = SpfArrays::kUnreached;
+  constexpr std::size_t kNoRow = ~std::size_t{0};
+  const std::size_t width = destinations.size();
+  columns.clear();
+  const auto every_column = [&] {
+    columns.resize(width);
+    std::iota(columns.begin(), columns.end(), std::size_t{0});
+  };
+  std::vector<std::size_t> row_of(g.node_count(), kNoRow);
+  for (std::size_t r = 0; r < routers.size(); ++r) row_of[routers[r]] = r;
+  std::vector<GraphEvent> events;
+  if (rows.size() != routers.size() * width || g.has_nonpositive_cost() ||
+      !g.changes_since(since, events) ||
+      std::find(row_of.begin(), row_of.end(), kNoRow) != row_of.end()) {
+    return every_column();
+  }
+  for (const GraphEvent& ev : events) {
+    if (ev.kind == GraphEventKind::kCostChange ||
+        (ev.kind != GraphEventKind::kOriginOnly &&
+         (ev.cost_uv <= 0 || ev.cost_vu <= 0))) {
+      return every_column();
+    }
+  }
+  const auto row = [&](RouterIndex x) {
+    return rows.data() + row_of[x] * width;
+  };
+  std::vector<bool> stale(width, false);
+  // Applies the rule for the hop x→y of cost c, which went down or up.
+  const auto mark = [&](bool down, RouterIndex x, RouterIndex y, int c) {
+    const int* dx = row(x);
+    const int* dy = row(y);
+    // True when x still has a two-way hop that is tight for column d.
+    const auto keeps_tight_hop = [&](std::size_t d) {
+      for (const DenseEdge& e : g.edges(x)) {
+        if (!e.two_way) continue;
+        const int dz = row(e.to)[d];
+        if (dz != kUnreached && dz + e.cost == dx[d]) return true;
+      }
+      return false;
+    };
+    for (std::size_t d = 0; d < width; ++d) {
+      if (stale[d] || dy[d] == kUnreached) continue;
+      stale[d] = down ? dx[d] == dy[d] + c && !keeps_tight_hop(d)
+                      : dx[d] == kUnreached || dx[d] > dy[d] + c;
+    }
+  };
+  for (const GraphEvent& ev : events) {
+    if (ev.kind == GraphEventKind::kOriginOnly) continue;
+    const bool down = ev.kind == GraphEventKind::kLinkDown;
+    mark(down, ev.u, ev.v, ev.cost_uv);
+    mark(down, ev.v, ev.u, ev.cost_vu);
+  }
+  for (std::size_t d = 0; d < width; ++d) {
+    if (stale[d]) columns.push_back(d);
   }
 }
 

@@ -54,21 +54,38 @@ std::vector<Route> compute_spf(const Lsdb& lsdb, net::Ipv4Addr self,
                                const std::vector<LocalAdjacency>& adjacency);
 
 /// Distance rows for destination-based route computation: one reverse
-/// shortest-path search per entry of `destinations`, each giving every
-/// router's shortest distance *to* that destination over the two-way
-/// edges, with an edge x→y costing x's advertised cost (as `compute_spf`
-/// run at x would count it). `rows` is resized and filled node-major:
-/// rows[r · destinations.size() + d] is the distance from routers[r] to
-/// destinations[d], or SpfArrays::kUnreached. Every entry of `routers`
-/// and `destinations` must be a router of `g`. Each search is Dial's
-/// bucket queue with (largest two-way cost + 1) buckets: exact for any
-/// non-negative integer costs, sized for a fabric's small ones. Throws
-/// std::invalid_argument on a negative cost. Uses the graph's shared
-/// scratch, like `compute_spf`.
+/// shortest-path search per listed column d (an index into
+/// `destinations`), each giving every router's shortest distance *to*
+/// destinations[d] over the two-way edges, with an edge x→y costing x's
+/// advertised cost (as `compute_spf` run at x would count it). `rows` is
+/// node-major: rows[r · destinations.size() + d] is the distance from
+/// routers[r] to destinations[d], or SpfArrays::kUnreached. It is resized
+/// to routers.size() · destinations.size() entries, the listed columns
+/// are filled and every other entry keeps its value. Every entry of
+/// `routers` and `destinations` must be a router of `g`. Each search is
+/// Dial's bucket queue with (largest two-way cost + 1) buckets: exact for
+/// any non-negative integer costs, sized for a fabric's small ones.
+/// Throws std::invalid_argument on a negative cost. Uses the graph's
+/// shared scratch, like `compute_spf`.
 void reverse_spf_rows(const LinkStateGraph& g,
                       const std::vector<RouterIndex>& routers,
                       const std::vector<RouterIndex>& destinations,
+                      const std::vector<std::size_t>& columns,
                       std::vector<int>& rows);
+
+/// The columns of `rows` that the graph's changes since version `since`
+/// can move, ascending, for `reverse_spf_rows` to refill: `rows` must be
+/// what it filled for (routers, destinations) on the graph at `since`.
+/// Every column is listed when the rule below cannot be applied: `rows`
+/// has another shape, the log was trimmed past `since`, a cost changed
+/// or is not positive, or a router of `g` has no row. Uses the rule
+/// documented at its definition in spf.cpp, which is exact for positive
+/// costs: every column it leaves out already holds the new distances.
+void stale_columns(const LinkStateGraph& g, std::uint64_t since,
+                   const std::vector<RouterIndex>& routers,
+                   const std::vector<RouterIndex>& destinations,
+                   const std::vector<int>& rows,
+                   std::vector<std::size_t>& columns);
 
 /// Reachability probe on the LSDB graph (two-way check applied); used by
 /// tests and topology validation.

@@ -129,8 +129,8 @@ TEST(Central, OspfAccessorThrowsOnCentralPlane) {
 }
 
 /// Rows are keyed by switch and routes by prefix origin, so a switch
-/// managed twice or a prefix with two origins is rejected, and a rejected
-/// call registers nothing.
+/// managed twice or a prefix with two origins, or named twice by one, is
+/// rejected, and a rejected call registers nothing.
 TEST(Central, ManageRejectsDuplicateSwitchOrPrefix) {
   sim::Simulator sim;
   net::Network network(sim);
@@ -144,6 +144,10 @@ TEST(Central, ManageRejectsDuplicateSwitchOrPrefix) {
   EXPECT_THROW(controller.manage(second, {topo.subnet_of_tor.at(&first)}),
                std::invalid_argument);
   EXPECT_NO_THROW(controller.manage(second, {topo.subnet_of_tor.at(&second)}));
+  net::L3Switch& third = *topo.tors[2];
+  const net::Prefix own = topo.subnet_of_tor.at(&third);
+  EXPECT_THROW(controller.manage(third, {own, own}), std::invalid_argument);
+  EXPECT_NO_THROW(controller.manage(third, {own}));
 }
 
 /// The controller's view rebuilt from the public per-switch surface: one
@@ -199,6 +203,25 @@ std::vector<std::vector<Route>> expect_fibs_follow_spf(
   return routes;
 }
 
+/// The number of prefixes whose route was added, removed or given other
+/// next hops from `from` to `to`, each with one route per prefix.
+std::size_t changed_routes(const std::vector<Route>& from,
+                           const std::vector<Route>& to) {
+  std::map<net::Prefix, NextHopGroup> old;
+  for (const Route& r : from) old.emplace(r.prefix, r.next_hops);
+  std::size_t changed = 0;
+  for (const Route& r : to) {
+    const auto it = old.find(r.prefix);
+    if (it == old.end()) {
+      ++changed;
+      continue;
+    }
+    if (!(it->second == r.next_hops)) ++changed;
+    old.erase(it);
+  }
+  return changed + old.size();
+}
+
 net::L3Switch* switch_at(const net::Link::End& end) {
   return dynamic_cast<net::L3Switch*>(end.node);
 }
@@ -212,7 +235,9 @@ bool detected_up(const net::Link::End& end) {
 /// controller's view, under seeded churn of link failures and repairs,
 /// one-way cuts, one-sided detection (a one-way edge in the view) and a
 /// switch failure. Every computation pushes to every switch, and a switch
-/// whose routes did not change keeps its FIB generation.
+/// whose routes did not change keeps its FIB generation. After a step with
+/// one computation, each switch's FIB wrote exactly one slot, with one
+/// generation bump and one change-hook call, per route that changed.
 void check_routes_follow_spf(const std::string& topology, int ports,
                              std::uint32_t seed) {
   SCOPED_TRACE(topology + " k=" + std::to_string(ports));
@@ -221,6 +246,10 @@ void check_routes_follow_spf(const std::string& topology, int ports,
   const auto switches = topo.all_switches();
   std::size_t hook_calls = 0;
   bed.controller().set_push_hook([&](net::L3Switch&) { ++hook_calls; });
+  std::vector<std::size_t> fib_writes(switches.size(), 0);
+  for (std::size_t i = 0; i < switches.size(); ++i) {
+    switches[i]->fib().add_change_hook([&fib_writes, i] { ++fib_writes[i]; });
+  }
   bed.converge();
 
   std::vector<net::Link*> links;
@@ -255,6 +284,7 @@ void check_routes_follow_spf(const std::string& topology, int ports,
     const auto computations = bed.controller().counters().computations;
     const auto pushes = bed.controller().counters().fib_pushes;
     const std::size_t hooks = hook_calls;
+    const std::vector<std::size_t> writes = fib_writes;
 
     // Clean links are up with both ends detecting them up.
     std::vector<net::Link*> clean;
@@ -336,13 +366,19 @@ void check_routes_follow_spf(const std::string& topology, int ports,
     SCOPED_TRACE("step " + std::to_string(step));
     const std::vector<std::vector<Route>> before = std::move(expected);
     expected = expect_fibs_follow_spf(topo);
+    const auto& counters = bed.controller().counters();
     for (std::size_t i = 0; i < switches.size(); ++i) {
       if (expected[i] == before[i]) {
         EXPECT_EQ(switches[i]->fib().generation(), generations[i])
             << switches[i]->name();
       }
+      if (counters.computations - computations == 1) {
+        const std::size_t changed = changed_routes(before[i], expected[i]);
+        EXPECT_EQ(switches[i]->fib().generation() - generations[i], changed)
+            << switches[i]->name();
+        EXPECT_EQ(fib_writes[i] - writes[i], changed) << switches[i]->name();
+      }
     }
-    const auto& counters = bed.controller().counters();
     EXPECT_GT(counters.computations, computations);
     EXPECT_EQ(counters.fib_pushes - pushes,
               (counters.computations - computations) * switches.size());

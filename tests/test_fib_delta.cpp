@@ -108,10 +108,34 @@ TEST(FibDelta, RejectsEmptyNextHopsLikeInstall) {
   EXPECT_EQ(hook_calls, 0);
 }
 
+/// The slots, one per (prefix, source), that one dump has and the other
+/// lacks, or that hold other next hops in each.
+std::size_t differing_slots(const std::vector<Route>& a,
+                            const std::vector<Route>& b) {
+  std::map<std::pair<Prefix, RouteSource>, NextHopGroup> slots;
+  for (const Route& r : a) {
+    slots.emplace(std::pair(r.prefix, r.source), r.next_hops);
+  }
+  std::size_t differ = 0;
+  for (const Route& r : b) {
+    const auto it = slots.find(std::pair(r.prefix, r.source));
+    if (it == slots.end()) {
+      ++differ;
+      continue;
+    }
+    if (!(it->second == r.next_hops)) ++differ;
+    slots.erase(it);
+  }
+  return differ + slots.size();
+}
+
 // Property: after any sequence of deltas, each for one of the three
 // sources, the FIB is indistinguishable from a fresh one holding every
 // source's latest full set — in its dump, its size and its lookups — and
-// each written slot bumps the generation and fires the hooks once.
+// it writes exactly the slots that differ between its dumps before and
+// after, each bumping the generation and firing the hooks once. About
+// one round in four re-applies a source's previous prefixes with a few
+// groups redrawn: a delta that changes groups only.
 TEST(FibDelta, EquivalentToReplaceSourceUnderChurn) {
   std::mt19937 rng(0xD17Au);
   const RouteSource sources[] = {RouteSource::kConnected,
@@ -146,9 +170,17 @@ TEST(FibDelta, EquivalentToReplaceSourceUnderChurn) {
     SCOPED_TRACE(round);
     const RouteSource source = sources[rng() % 3];
     std::vector<Route> desired;
-    for (const Prefix& prefix : pool) {
-      if (rng() % 3 != 0) continue;  // prefix absent this round
-      desired.push_back(Route{prefix, random_hops(), source});
+    if (const auto it = latest.find(source);
+        it != latest.end() && !it->second.empty() && rng() % 4 == 0) {
+      desired = it->second;
+      for (int redraw = 0; redraw < 3; ++redraw) {
+        desired[rng() % desired.size()].next_hops = random_hops();
+      }
+    } else {
+      for (const Prefix& prefix : pool) {
+        if (rng() % 3 != 0) continue;  // prefix absent this round
+        desired.push_back(Route{prefix, random_hops(), source});
+      }
     }
     if (!desired.empty() && rng() % 4 == 0) {
       // A prefix named twice: the later route must win.
@@ -170,8 +202,10 @@ TEST(FibDelta, EquivalentToReplaceSourceUnderChurn) {
     }
     const std::uint64_t generation = delta_fib.generation();
     const int hooks_before = hook_calls;
+    const std::vector<Route> dump_before = delta_fib.dump();
     const std::size_t touched =
         delta_fib.apply_source_delta(source, std::move(desired));
+    ASSERT_EQ(touched, differing_slots(dump_before, delta_fib.dump()));
     ASSERT_TRUE(delta_fib.dump() == replace_fib.dump());
     ASSERT_EQ(delta_fib.size(), replace_fib.size());
     ASSERT_EQ(delta_fib.generation() - generation, touched);
