@@ -1,10 +1,11 @@
 /// Control-plane fast-path benchmark: single-link-failure reconvergence
 /// SPF, full Dijkstra (compute_spf) vs the incremental SpfSolver, at
 /// k = 8/16/20/32 fat trees, plus the FIB install delta each recompute
-/// produces, the wall clock of one CentralController::converge() — one
-/// reverse SPF per destination, then every switch's routes and FIB
-/// install — at k = 16 and 32, and of one batched controller recompute
-/// after a ToR uplink failure at k = 32.
+/// produces, the wall clock of one CentralController::converge() — the
+/// distance rows, 64 destinations per pass, then every switch's routes
+/// and FIB install — at k = 16 and 32, and of one batched controller
+/// recompute after a ToR uplink failure at k = 32. Each converge's routes
+/// are checked against compute_spf, outside the timed region.
 /// Emits BENCH_spf.json (see bench_util.hpp); the committed Release
 /// baseline lives in bench/baselines/.
 ///
@@ -181,9 +182,46 @@ CaseResult run_case(int ports, int iterations) {
   return out;
 }
 
+/// Whether every 16th switch's OSPF FIB entries equal compute_spf's routes
+/// for it on a view of every switch's live_links and rack prefix, minus
+/// the switch's own prefix: what the controller must have installed.
+bool routes_follow_spf(const topo::BuiltTopology& topo) {
+  const auto switches = topo.all_switches();
+  routing::Lsdb view;
+  for (net::L3Switch* sw : switches) {
+    auto lsa = std::make_shared<routing::Lsa>();
+    lsa->origin = sw->router_id();
+    lsa->sequence = 1;
+    lsa->links = routing::live_links(*sw);
+    if (const auto it = topo.subnet_of_tor.find(sw);
+        it != topo.subnet_of_tor.end()) {
+      lsa->prefixes.push_back(it->second);
+    }
+    view.consider(lsa);
+  }
+  for (std::size_t s = 0; s < switches.size(); s += 16) {
+    net::L3Switch& sw = *switches[s];
+    auto want = routing::compute_spf(view, sw.router_id(),
+                                     routing::live_adjacency(sw));
+    if (const auto it = topo.subnet_of_tor.find(&sw);
+        it != topo.subnet_of_tor.end()) {
+      std::erase_if(want, [&](const routing::Route& r) {
+        return r.prefix == it->second;
+      });
+    }
+    auto got = sw.fib().dump();
+    std::erase_if(got, [](const routing::Route& r) {
+      return r.source != routing::RouteSource::kOspf;
+    });
+    if (canonical(std::move(got)) != canonical(std::move(want))) return false;
+  }
+  return true;
+}
+
 /// Median wall clock (ms) of one initial CentralController::converge() on
 /// a freshly built k-port fat tree with one host per ToR (hosts carry no
-/// routing state); `reps` fresh fabrics.
+/// routing state); `reps` fresh fabrics. Returns a negative value when,
+/// after any of them, routes_follow_spf fails (checked untimed).
 double central_converge_ms(int ports, int reps) {
   core::TestbedConfig config;
   config.control_plane = core::ControlPlane::kCentral;
@@ -198,6 +236,7 @@ double central_converge_ms(int ports, int reps) {
     const auto t0 = Clock::now();
     bed.controller().converge();
     samples.push_back(ns_between(t0, Clock::now()) / 1e6);
+    if (!routes_follow_spf(bed.topo())) return -1;
   }
   std::sort(samples.begin(), samples.end());
   return samples[samples.size() / 2];
@@ -293,14 +332,16 @@ int main() {
 
   std::cout << "one CentralController::converge(), fat tree\n"
             << "  k   converge ms\n";
-  for (const auto& [ports, reps] : {std::pair{16, 5}, std::pair{32, 3}}) {
+  bool converged = true;
+  for (const auto& [ports, reps] : {std::pair{16, 5}, std::pair{32, 9}}) {
     const double ms = central_converge_ms(ports, reps);
     std::cout << "  " << ports << "  " << ms << "\n";
     results.push_back({"CentralConverge/" + std::to_string(ports),
                        "real_time", ms, "ms"});
+    converged = converged && ms >= 0;
   }
 
-  const double recompute_ms = central_recompute_ms(32, 3);
+  const double recompute_ms = central_recompute_ms(32, 9);
   std::cout << "one batched controller recompute after a ToR uplink "
                "failure, fat tree\n"
             << "  k   recompute ms\n"
@@ -309,6 +350,11 @@ int main() {
 
   if (!ok) {
     std::cerr << "bench_spf: solver diverged from compute_spf or fell back\n";
+    return 1;
+  }
+  if (!converged) {
+    std::cerr << "bench_spf: a converge() installed routes that differ "
+                 "from compute_spf\n";
     return 1;
   }
   if (recompute_ms < 0) {

@@ -15,51 +15,48 @@ struct Port {
   const int* row;     ///< the row in the distance matrix
 };
 
-/// `adjacency`'s ports toward managed switches, with their rows in the
-/// node-major `rows` of the given width. A neighbor the controller does
-/// not manage has no row and carries no routes, as in compute_spf.
-std::vector<Port> ports_of(
-    const std::vector<LocalAdjacency>& adjacency,
-    const std::unordered_map<net::Ipv4Addr, std::size_t>& index_of,
-    const std::vector<int>& rows, std::size_t width) {
-  std::vector<Port> ports;
+/// Sets `ports` to `adjacency`'s ports toward managed switches, with their
+/// rows in the node-major `rows` of the given width. A neighbor the
+/// controller does not manage has no row and carries no routes, as in
+/// compute_spf.
+void ports_of(const std::vector<LocalAdjacency>& adjacency,
+              const std::unordered_map<net::Ipv4Addr, std::size_t>& index_of,
+              const std::vector<int>& rows, std::size_t width,
+              std::vector<Port>& ports) {
+  ports.clear();
   for (const LocalAdjacency& a : adjacency) {
     if (const auto it = index_of.find(a.neighbor); it != index_of.end()) {
       ports.push_back(Port{a, it->second, rows.data() + it->second * width});
     }
   }
-  return ports;
 }
 
-/// Marks in `argmin`, a bitset over `ports`, the ports whose neighbor is
-/// closest to the destination, `distance(port)` away; false when none
-/// reaches it.
-template <typename Distance>
-bool closest_ports(const std::vector<Port>& ports, Distance distance,
-                   std::vector<std::uint64_t>& argmin) {
-  int best = SpfArrays::kUnreached;
-  for (const Port& p : ports) best = std::min(best, distance(p));
-  if (best == SpfArrays::kUnreached) return false;
-  std::fill(argmin.begin(), argmin.end(), std::uint64_t{0});
-  for (std::size_t i = 0; i < ports.size(); ++i) {
-    if (distance(ports[i]) == best) {
-      argmin[i / 64] |= std::uint64_t{1} << (i % 64);
+/// The closest ports of n columns, found port by port over whole rows:
+/// min[k] is the least of rows[i][k] over the ports i, and bit i % 32 of
+/// masks[i / 32 · n + k] is set where rows[i][k] equals it. Mask words as
+/// wide as the int rows let the compare vectorize.
+void argmin_rows(const std::vector<const int*>& rows, std::size_t n,
+                 std::vector<int>& min, std::vector<std::uint32_t>& masks) {
+  min.assign(n, SpfArrays::kUnreached);
+  int* const least = min.data();
+  for (const int* const row : rows) {
+    for (std::size_t k = 0; k < n; ++k) least[k] = std::min(least[k], row[k]);
+  }
+  masks.assign((rows.size() + 31) / 32 * n, 0u);
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    std::uint32_t* const word = masks.data() + i / 32 * n;
+    const int* const row = rows[i];
+    const unsigned shift = i % 32;
+    for (std::size_t k = 0; k < n; ++k) {
+      word[k] |= std::uint32_t{row[k] == least[k]} << shift;
     }
   }
-  return true;
 }
 
-/// The next hops of the ports marked in `argmin`, in port order.
-std::vector<NextHop> next_hops(const std::vector<Port>& ports,
-                               const std::vector<std::uint64_t>& argmin) {
-  std::vector<NextHop> hops;
-  for (std::size_t i = 0; i < ports.size(); ++i) {
-    if ((argmin[i / 64] >> (i % 64)) & 1) {
-      hops.push_back(NextHop{ports[i].adjacency.port,
-                             ports[i].adjacency.neighbor});
-    }
-  }
-  return hops;
+std::vector<std::size_t> every_column(std::size_t width) {
+  std::vector<std::size_t> columns(width);
+  std::iota(columns.begin(), columns.end(), std::size_t{0});
+  return columns;
 }
 
 }  // namespace
@@ -84,13 +81,22 @@ void CentralController::manage(net::L3Switch& sw,
     }
   }
   originated_.insert(prefixes.begin(), prefixes.end());
-  index_of_.emplace(sw.router_id(), switches_.size());
-  if (!prefixes.empty()) destinations_.push_back(switches_.size());
-  switches_.push_back(Managed{&sw, std::move(prefixes), {}});
+  const std::size_t index = switches_.size();
+  index_of_.emplace(sw.router_id(), index);
+  std::size_t column = kNoColumn;
+  if (!prefixes.empty()) {
+    column = destinations_.size();
+    destinations_.push_back(index);
+    prefixes_.insert(prefixes_.end(), prefixes.begin(), prefixes.end());
+    prefix_bounds_.push_back(prefixes_.size());
+  }
+  switches_.push_back(Managed{&sw, column, {}});
+  readvertise_.push_back(true);
   rebuild_all_ = true;
   net::L3Switch* ptr = &sw;
   // A port-state transition is the switch's failure (or recovery) report.
-  sw.add_port_state_handler([this, ptr](net::PortId, bool) {
+  sw.add_port_state_handler([this, ptr, index](net::PortId, bool) {
+    readvertise_[index] = true;
     sim_->after(config_.report_delay, [this, ptr] { on_report(*ptr); });
   });
 }
@@ -100,7 +106,10 @@ LsaPtr CentralController::view_of(const Managed& m) const {
   lsa->origin = m.sw->router_id();
   lsa->sequence = view_version_;
   lsa->links = live_links(*m.sw);
-  lsa->prefixes = m.prefixes;
+  if (m.column != kNoColumn) {
+    lsa->prefixes.assign(prefixes_.begin() + prefix_bounds_[m.column],
+                         prefixes_.begin() + prefix_bounds_[m.column + 1]);
+  }
   return lsa;
 }
 
@@ -111,52 +120,127 @@ class CentralController::SavedColumns {
   SavedColumns(const std::vector<int>& rows, std::size_t height,
                std::size_t width, const std::vector<std::size_t>& columns)
       : rows_(rows),
+        columns_(columns),
         width_(width),
         height_(height),
-        slot_(width, kNotSaved),
         values_(columns.size() * height_) {
     for (std::size_t k = 0; k < columns.size(); ++k) {
-      slot_[columns[k]] = k;
       for (std::size_t m = 0; m < height_; ++m) {
         values_[k * height_ + m] = rows[m * width + columns[k]];
       }
     }
   }
 
-  /// Column d as it was before the refill, indexed by row, or null when
-  /// column d was not refilled and rows_ still holds it.
-  const int* column(std::size_t d) const {
-    return slot_[d] == kNotSaved ? nullptr
-                                 : values_.data() + slot_[d] * height_;
+  /// Puts row m's saved values into `copy`: a copy of the whole row when
+  /// `whole`, else of the saved columns alone, in their order.
+  void restore(std::size_t m, bool whole, int* copy) const {
+    for (std::size_t k = 0; k < columns_.size(); ++k) {
+      copy[whole ? columns_[k] : k] = values_[k * height_ + m];
+    }
   }
 
   /// Whether each row now differs from its saved values.
   std::vector<bool> changed_rows() const {
     std::vector<bool> changed(height_, false);
-    for (std::size_t d = 0; d < width_; ++d) {
-      const int* old = column(d);
-      if (old == nullptr) continue;
+    for (std::size_t k = 0; k < columns_.size(); ++k) {
+      const int* old = values_.data() + k * height_;
       for (std::size_t m = 0; m < height_; ++m) {
-        if (old[m] != rows_[m * width_ + d]) changed[m] = true;
+        if (old[m] != rows_[m * width_ + columns_[k]]) changed[m] = true;
       }
     }
     return changed;
   }
 
  private:
-  static constexpr std::size_t kNotSaved = ~std::size_t{0};
   const std::vector<int>& rows_;
+  std::vector<std::size_t> columns_;
   std::size_t width_;
   std::size_t height_;
-  std::vector<std::size_t> slot_;  ///< per column: its saved index
-  std::vector<int> values_;        ///< values_[slot · height_ + row]
+  std::vector<int> values_;  ///< values_[k · height_ + row], k a saved column
+};
+
+/// Buffers of the read-off, reused across the switches of a computation:
+/// one side for the routes over the new rows and one for those over the
+/// previous rows and adjacency, which a recompute compares them with.
+struct CentralController::ReadOff {
+  struct Side {
+    std::vector<Port> ports;
+    std::vector<const int*> rows;  ///< per port, n read-off entries
+    std::vector<int> copies;       ///< gathered rows
+    std::vector<int> min;
+    std::vector<std::uint32_t> masks;
+    std::size_t words = 0;  ///< mask words per column
+
+    /// Finds the closest ports over the n read-off columns: the ports'
+    /// rows themselves when every column is read and nothing is saved,
+    /// else copies of the listed `columns` (every column when null) with
+    /// the values `saved` holds put back; listed columns are then the
+    /// saved ones.
+    void fill(const std::vector<std::size_t>* columns, std::size_t n,
+              const SavedColumns* saved) {
+      rows.clear();
+      if (columns == nullptr && saved == nullptr) {
+        for (const Port& p : ports) rows.push_back(p.row);
+      } else {
+        copies.resize(ports.size() * n);
+        for (std::size_t i = 0; i < ports.size(); ++i) {
+          int* const copy = copies.data() + i * n;
+          if (columns == nullptr) {
+            std::copy_n(ports[i].row, n, copy);
+          } else {
+            for (std::size_t k = 0; k < n; ++k) {
+              copy[k] = ports[i].row[(*columns)[k]];
+            }
+          }
+          if (saved != nullptr) {
+            saved->restore(ports[i].index, columns == nullptr, copy);
+          }
+          rows.push_back(copy);
+        }
+      }
+      argmin_rows(rows, n, min, masks);
+      words = (ports.size() + 31) / 32;
+    }
+
+    bool reached(std::size_t k) const {
+      return min[k] != SpfArrays::kUnreached;
+    }
+    /// Whether columns k and j have the same closest ports.
+    bool same_closest(std::size_t k, std::size_t j) const {
+      const std::size_t n = min.size();
+      for (std::size_t w = 0; w < words; ++w) {
+        if (masks[w * n + k] != masks[w * n + j]) return false;
+      }
+      return true;
+    }
+    /// The next hops of column k's closest ports, in port order.
+    void hops(std::size_t k, std::vector<NextHop>& out) const {
+      const std::size_t n = min.size();
+      out.clear();
+      for (std::size_t i = 0; i < ports.size(); ++i) {
+        if ((masks[i / 32 * n + k] >> (i % 32)) & 1u) {
+          out.push_back(
+              NextHop{ports[i].adjacency.port, ports[i].adjacency.neighbor});
+        }
+      }
+    }
+  };
+
+  Side now;
+  Side old;
+  std::vector<std::uint64_t> key;  ///< now's masks of a column, packed
+  std::vector<NextHop> hops;
+  std::vector<NextHop> old_hops;
 };
 
 void CentralController::refresh_view() {
   // The controller's view is the union of the switches' *detected* local
-  // states — exactly the information failure reports carry.
+  // states — exactly the information failure reports carry. A switch
+  // whose detected ports did not change has nothing new to advertise.
   ++view_version_;
-  for (const Managed& m : switches_) view_.consider(view_of(m));
+  for (std::size_t i = 0; i < switches_.size(); ++i) {
+    if (readvertise_[i]) view_.consider(view_of(switches_[i]));
+  }
   const LinkStateGraph& g = view_.graph();
   routers_.clear();
   for (const Managed& m : switches_) {
@@ -164,12 +248,6 @@ void CentralController::refresh_view() {
   }
   targets_.clear();
   for (const std::size_t m : destinations_) targets_.push_back(routers_[m]);
-  emit_order_.resize(targets_.size());
-  std::iota(emit_order_.begin(), emit_order_.end(), std::size_t{0});
-  std::sort(emit_order_.begin(), emit_order_.end(),
-            [&](std::size_t a, std::size_t b) {
-              return targets_[a] < targets_[b];
-            });
 }
 
 /// For each destination, the next hops are the live local ports to the
@@ -179,54 +257,61 @@ void CentralController::refresh_view() {
 /// compute_spf's self edges are the live adjacency, as here. Precondition:
 /// every link in the view costs 1 (live_links advertises cost 1), so
 /// cost(self, n) is the same for every neighbor and the minimum is taken
-/// over the rows alone. Destinations with the same argmin ports share one
-/// next-hop group. A route to a destination depends on nothing else, so
-/// the previous route comes from the same read-off over the previous
+/// over the rows alone. The minima and argmin ports of every column are
+/// found port by port, and destinations with the same argmin ports share
+/// one next-hop group. A route to a destination depends on nothing else,
+/// so the previous route comes from the same read-off over the previous
 /// adjacency and rows.
 std::vector<Route> CentralController::routes_of(
-    const Managed& m, const std::vector<LocalAdjacency>& adjacency,
-    const std::vector<std::size_t>& columns,
-    const SavedColumns* before) const {
+    std::size_t self, const std::vector<LocalAdjacency>& adjacency,
+    const std::vector<std::size_t>* columns, const SavedColumns* before,
+    ReadOff& scratch) const {
   const std::size_t width = destinations_.size();
-  const std::vector<Port> ports = ports_of(adjacency, index_of_, rows_, width);
-  std::vector<std::uint64_t> argmin((ports.size() + 63) / 64);
-  NextHopGroupMemo memo(argmin.size());
-  const bool same_ports = before == nullptr || adjacency == m.adjacency;
-  const std::vector<Port> moved_ports =
-      same_ports ? std::vector<Port>()
-                 : ports_of(m.adjacency, index_of_, rows_, width);
-  const std::vector<Port>& old_ports = same_ports ? ports : moved_ports;
-  std::vector<std::uint64_t> old_argmin((old_ports.size() + 63) / 64);
+  const std::size_t n = columns == nullptr ? width : columns->size();
+  ReadOff::Side& now = scratch.now;
+  ReadOff::Side& old = scratch.old;
+  ports_of(adjacency, index_of_, rows_, width, now.ports);
+  now.fill(columns, n, nullptr);
+  if (before != nullptr) {
+    ports_of(switches_[self].adjacency, index_of_, rows_, width, old.ports);
+    old.fill(columns, n, before);
+  }
+  NextHopGroupMemo memo((now.words + 1) / 2);
   const NextHopGroup removal;  // a route without next hops
+  const NextHopGroup* group = nullptr;  // the group of column `grouped`
+  std::size_t grouped = 0;
   std::vector<Route> routes;
-  if (before == nullptr) routes.reserve(width);
-  for (const std::size_t d : columns) {
-    const Managed& dest = switches_[destinations_[d]];
-    if (&dest == &m) continue;
-    const bool reached = closest_ports(
-        ports, [d](const Port& p) { return p.row[d]; }, argmin);
-    // Over the same ports equal bitsets are equal hop sets; otherwise the
-    // hops are compared, both in port order.
+  if (before == nullptr) routes.reserve(n);
+  for (std::size_t k = 0; k < n; ++k) {
+    const std::size_t d = columns == nullptr ? k : (*columns)[k];
+    if (destinations_[d] == self) continue;
+    const bool reached = now.reached(k);
+    // The ports may have moved, so the hops are compared, both in port
+    // order, rather than the bitsets.
     const auto unchanged = [&] {
-      const int* saved = before->column(d);
-      const auto old_distance = [saved, d](const Port& p) {
-        return saved != nullptr ? saved[p.index] : p.row[d];
-      };
-      if (closest_ports(old_ports, old_distance, old_argmin) != reached) {
-        return false;
-      }
-      return !reached ||
-             (same_ports ? argmin == old_argmin
-                         : next_hops(ports, argmin) ==
-                               next_hops(old_ports, old_argmin));
+      if (reached != old.reached(k)) return false;
+      if (!reached) return true;
+      now.hops(k, scratch.hops);
+      old.hops(k, scratch.old_hops);
+      return scratch.hops == scratch.old_hops;
     };
     if (before == nullptr ? !reached : unchanged()) continue;
-    const NextHopGroup& group =
-        reached ? memo.get(argmin.data(),
-                           [&] { return next_hops(ports, argmin); })
-                : removal;
-    for (const net::Prefix& prefix : dest.prefixes) {
-      routes.push_back(Route{prefix, group, RouteSource::kOspf});
+    if (reached && (group == nullptr || !now.same_closest(k, grouped))) {
+      scratch.key.assign((now.words + 1) / 2, 0);
+      for (std::size_t w = 0; w < now.words; ++w) {
+        scratch.key[w / 2] |= std::uint64_t{now.masks[w * n + k]}
+                              << (w % 2 * 32);
+      }
+      group = &memo.get(scratch.key.data(), [&] {
+        std::vector<NextHop> hops;
+        now.hops(k, hops);
+        return hops;
+      });
+      grouped = k;
+    }
+    const NextHopGroup& next_hops = reached ? *group : removal;
+    for (std::size_t i = prefix_bounds_[d]; i < prefix_bounds_[d + 1]; ++i) {
+      routes.push_back(Route{prefixes_[i], next_hops, RouteSource::kOspf});
     }
   }
   return routes;
@@ -234,15 +319,20 @@ std::vector<Route> CentralController::routes_of(
 
 void CentralController::converge() {
   refresh_view();
-  reverse_spf_rows(view_.graph(), routers_, targets_, emit_order_, rows_);
-  for (Managed& m : switches_) {
+  reverse_spf_rows(view_.graph(), routers_, targets_,
+                   every_column(destinations_.size()), rows_);
+  ReadOff scratch;
+  for (std::size_t i = 0; i < switches_.size(); ++i) {
+    Managed& m = switches_[i];
     m.adjacency = live_adjacency(*m.sw);
     m.sw->fib().apply_source_delta(
-        RouteSource::kOspf, routes_of(m, m.adjacency, emit_order_, nullptr));
+        RouteSource::kOspf,
+        routes_of(i, m.adjacency, nullptr, nullptr, scratch));
   }
   // A push still in flight lands over the routes just installed, so the
   // next recompute cannot trust them to match the rows.
   rebuild_all_ = pushes_in_flight_ > 0;
+  readvertise_.assign(switches_.size(), false);
   ++counters_.computations;
 }
 
@@ -270,25 +360,39 @@ void CentralController::recompute_and_push() {
   // may not match the last rows (rebuild_all_), every column is refilled
   // and every switch gets its whole route set.
   const bool whole = rebuild_all_;
-  std::vector<std::size_t> columns = emit_order_;
-  if (!whole) stale_columns(g, since, routers_, targets_, rows_, columns);
-  const SavedColumns before(rows_, switches_.size(), destinations_.size(),
+  const std::size_t width = destinations_.size();
+  std::vector<std::size_t> columns;
+  if (whole) {
+    columns = every_column(width);
+  } else {
+    stale_columns(g, since, routers_, targets_, rows_, columns);
+  }
+  const SavedColumns before(rows_, switches_.size(), width,
                             whole ? std::vector<std::size_t>() : columns);
   reverse_spf_rows(g, routers_, targets_, columns, rows_);
   const std::vector<bool> row_changed = before.changed_rows();
-  for (Managed& m : switches_) {
-    std::vector<LocalAdjacency> adjacency = live_adjacency(*m.sw);
-    const bool moved = adjacency != m.adjacency;
+  // The listed columns ascend, so listing them all is every column.
+  const std::vector<std::size_t>* listed =
+      columns.size() == width ? nullptr : &columns;
+  ReadOff scratch;
+  for (std::size_t i = 0; i < switches_.size(); ++i) {
+    Managed& m = switches_[i];
+    // Only a switch re-advertised in this computation can have another
+    // live adjacency.
+    std::vector<LocalAdjacency> live;
+    if (readvertise_[i]) live = live_adjacency(*m.sw);
+    const bool moved = readvertise_[i] && live != m.adjacency;
+    const std::vector<LocalAdjacency>& adjacency = moved ? live : m.adjacency;
     bool dirty = whole || moved;
-    for (std::size_t i = 0; !dirty && i < adjacency.size(); ++i) {
-      const auto it = index_of_.find(adjacency[i].neighbor);
+    for (std::size_t p = 0; !dirty && p < adjacency.size(); ++p) {
+      const auto it = index_of_.find(adjacency[p].neighbor);
       dirty = it != index_of_.end() && row_changed[it->second];
     }
     std::vector<Route> routes;
     if (dirty) {
-      routes = routes_of(m, adjacency, moved || whole ? emit_order_ : columns,
-                         whole ? nullptr : &before);
-      m.adjacency = std::move(adjacency);
+      routes = routes_of(i, adjacency, moved ? nullptr : listed,
+                         whole ? nullptr : &before, scratch);
+      if (moved) m.adjacency = std::move(live);
     }
     // Every switch still gets its push, and the hook fires, at the same
     // instant — the controller does not know a delta is empty before the
@@ -316,6 +420,7 @@ void CentralController::recompute_and_push() {
                 });
   }
   rebuild_all_ = false;
+  readvertise_.assign(switches_.size(), false);
 }
 
 }  // namespace f2t::routing

@@ -61,31 +61,37 @@ class CentralController {
   void set_push_hook(PushHook hook) { push_hook_ = std::move(hook); }
 
  private:
+  static constexpr std::size_t kNoColumn = ~std::size_t{0};
   struct Managed {
     net::L3Switch* sw = nullptr;
-    std::vector<net::Prefix> prefixes;
+    /// The switch's row column, or kNoColumn when it has no prefixes.
+    std::size_t column = kNoColumn;
     /// Live adjacency as of the last computation that built its routes.
     std::vector<LocalAdjacency> adjacency;
   };
 
   class SavedColumns;
+  struct ReadOff;
 
   void on_report(net::L3Switch& sw);
   void recompute_and_push();
   LsaPtr view_of(const Managed& m) const;
-  /// Brings view_ up to every switch's live links (bumping its version)
-  /// and sets routers_, targets_ and emit_order_ from it. Shared by
-  /// converge and every recompute.
+  /// Re-advertises the switches in readvertise_ to view_ (bumping its
+  /// version) and sets routers_ and targets_ from it. Shared by converge
+  /// and every recompute.
   void refresh_view();
-  /// `m`'s routes over `adjacency` and the rows in rows_, for the
-  /// destinations of `columns` in that order. With `before`, only the
-  /// routes that differ from those over m.adjacency and the previous rows
-  /// are emitted, and a destination no longer reached gets a route
-  /// without next hops: a removal.
-  std::vector<Route> routes_of(const Managed& m,
+  /// The routes of switches_[self] over `adjacency` and the rows in
+  /// rows_, for the listed `columns` in that order, or every column in
+  /// column order when `columns` is null. With `before`, only the routes
+  /// that differ from those over its previous adjacency and rows are
+  /// emitted, and a destination no longer reached gets a route
+  /// without next hops: a removal; listed `columns` are then the ones
+  /// `before` saved. `scratch` holds buffers reused across switches.
+  std::vector<Route> routes_of(std::size_t self,
                                const std::vector<LocalAdjacency>& adjacency,
-                               const std::vector<std::size_t>& columns,
-                               const SavedColumns* before) const;
+                               const std::vector<std::size_t>* columns,
+                               const SavedColumns* before,
+                               ReadOff& scratch) const;
 
   CentralConfig config_;
   std::vector<Managed> switches_;
@@ -93,15 +99,19 @@ class CentralController {
   std::unordered_set<net::Prefix> originated_;
   /// switches_ index of each row column: the switches with prefixes.
   std::vector<std::size_t> destinations_;
+  /// Column d's prefixes: prefixes_[prefix_bounds_[d], prefix_bounds_[d + 1]).
+  std::vector<net::Prefix> prefixes_;
+  std::vector<std::size_t> prefix_bounds_ = {0};
+  /// Per switch: its detected ports changed since the last computation,
+  /// which re-advertises it. Set by the port-state handler manage()
+  /// installs, at the transition, since the view reads live state.
+  std::vector<bool> readvertise_;
   /// The controller's global view, kept across computations so that its
   /// graph's change log says what changed since the last one.
   Lsdb view_;
   /// view_'s router index of each switch (a row) and of each column.
   std::vector<RouterIndex> routers_;
   std::vector<RouterIndex> targets_;
-  /// Row columns in the view's router-index order, compute_spf's
-  /// destination order.
-  std::vector<std::size_t> emit_order_;
   /// Node-major distances of the last computation: rows_[m · width + d]
   /// is switches_[m]'s distance to column d's switch.
   std::vector<int> rows_;

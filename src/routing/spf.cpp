@@ -196,10 +196,12 @@ void reverse_spf_rows(const LinkStateGraph& g,
                       const std::vector<RouterIndex>& destinations,
                       const std::vector<std::size_t>& columns,
                       std::vector<int>& rows) {
-  // Dial's bucket queue. While distance d is being settled every queued
-  // distance lies in [d, d + max_cost], so max_cost + 1 circular buckets
-  // indexed by distance keep them apart. Rows hold distances only, so
-  // the order within a bucket does not matter.
+  // Dial's bucket queue, run for up to 64 columns at once. While distance
+  // d is being settled every queued distance lies in [d, d + max_cost], so
+  // max_cost + 1 circular buckets indexed by distance keep them apart. An
+  // entry carries the set of this pass's columns (bit b: pass[b]) that
+  // reached its router at the bucket's distance; rows hold distances
+  // only, so the order within a bucket does not matter.
   int max_cost = 0;
   for (RouterIndex y = 0; y < g.node_count(); ++y) {
     for (const DenseEdge& e : g.edges(y)) {
@@ -212,43 +214,89 @@ void reverse_spf_rows(const LinkStateGraph& g,
       max_cost = std::max(max_cost, e.rev_cost);
     }
   }
-  std::vector<std::vector<RouterIndex>> buckets(
-      static_cast<std::size_t>(max_cost) + 1);
+  constexpr std::size_t kNoRow = ~std::size_t{0};
+  std::vector<std::size_t> row_of(g.node_count(), kNoRow);
+  for (std::size_t r = 0; r < routers.size(); ++r) {
+    if (row_of[routers[r]] != kNoRow) {
+      throw std::invalid_argument("reverse_spf_rows: router listed twice: " +
+                                  g.router_of(routers[r]).str());
+    }
+    row_of[routers[r]] = r;
+  }
+  struct Entry {
+    RouterIndex node;
+    std::uint64_t columns;
+  };
+  std::vector<std::vector<Entry>> buckets(static_cast<std::size_t>(max_cost) +
+                                          1);
+  std::vector<Entry> draining;
+  std::vector<std::uint64_t> settled(g.node_count());
+  // A router's newest queued entry: its distance (-1 once drained) and
+  // its index in that distance's bucket. Columns pushed to the router at
+  // that distance join the entry, so a bucket holds one entry per router
+  // for unit costs and the router's edges are walked once per distance.
+  std::vector<int> queued_at(g.node_count(), -1);
+  std::vector<std::uint32_t> queued_slot(g.node_count());
+  std::size_t queued = 0;
+  const auto push = [&](RouterIndex x, int dist, std::uint64_t columns) {
+    auto& bucket = buckets[static_cast<std::size_t>(dist) % buckets.size()];
+    if (queued_at[x] == dist) {
+      bucket[queued_slot[x]].columns |= columns;
+      return;
+    }
+    queued_at[x] = dist;
+    queued_slot[x] = static_cast<std::uint32_t>(bucket.size());
+    bucket.push_back(Entry{x, columns});
+    ++queued;
+  };
   const std::size_t width = destinations.size();
   rows.resize(routers.size() * width, SpfArrays::kUnreached);
-  SpfArrays& a = g.scratch();
-  for (const std::size_t d : columns) {
-    a.begin(g.node_count(), 0);
-    a.touch(destinations[d]);
-    a.dist[destinations[d]] = 0;
-    buckets[0].push_back(destinations[d]);
-    std::size_t queued = 1;
+  std::vector<std::size_t> sorted = columns;
+  std::sort(sorted.begin(), sorted.end());
+  for (std::size_t first = 0; first < sorted.size(); first += 64) {
+    const std::size_t* const pass = sorted.data() + first;
+    const std::size_t count = std::min<std::size_t>(64, sorted.size() - first);
+    std::fill(settled.begin(), settled.end(), std::uint64_t{0});
+    for (std::size_t b = 0; b < count; ++b) {
+      push(destinations[pass[b]], 0, std::uint64_t{1} << b);
+    }
     for (int dist = 0; queued > 0; ++dist) {
       auto& bucket = buckets[static_cast<std::size_t>(dist) % buckets.size()];
-      // A zero-cost edge appends to the bucket being drained.
-      for (std::size_t i = 0; i < bucket.size(); ++i) {
-        const RouterIndex y = bucket[i];
-        --queued;
-        if (a.dist[y] != dist) continue;  // improved after it was queued
-        // Walking y's edges finds each x with a two-way x→y edge; that
-        // hop costs x's advertised cost, the rev_cost of y's edge.
-        for (const DenseEdge& e : g.edges(y)) {
-          if (!e.two_way) continue;
-          const RouterIndex x = e.to;
-          const int nd = dist + e.rev_cost;
-          a.touch(x);
-          if (nd < a.dist[x]) {
-            a.dist[x] = nd;
-            buckets[static_cast<std::size_t>(nd) % buckets.size()]
-                .push_back(x);
-            ++queued;
+      // A zero-cost hop appends to the bucket being drained, so it is
+      // drained in rounds until it stays empty.
+      while (!bucket.empty()) {
+        draining.swap(bucket);
+        queued -= draining.size();
+        for (const Entry& entry : draining) queued_at[entry.node] = -1;
+        for (const Entry& entry : draining) {
+          const RouterIndex y = entry.node;
+          const std::uint64_t fresh = entry.columns & ~settled[y];
+          if (fresh == 0) continue;
+          settled[y] |= fresh;
+          if (row_of[y] != kNoRow) {
+            int* const row = rows.data() + row_of[y] * width;
+            for (std::uint64_t bits = fresh; bits != 0; bits &= bits - 1) {
+              row[pass[std::countr_zero(bits)]] = dist;
+            }
+          }
+          // Walking y's edges finds each x with a two-way x→y edge; that
+          // hop costs x's advertised cost, the rev_cost of y's edge.
+          for (const DenseEdge& e : g.edges(y)) {
+            if (!e.two_way) continue;
+            const std::uint64_t lacking = fresh & ~settled[e.to];
+            if (lacking != 0) push(e.to, dist + e.rev_cost, lacking);
           }
         }
+        draining.clear();
       }
-      bucket.clear();
     }
+    const std::uint64_t all =
+        count == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << count) - 1;
     for (std::size_t r = 0; r < routers.size(); ++r) {
-      rows[r * width + d] = a.distance(routers[r]);
+      for (std::uint64_t bits = all & ~settled[routers[r]]; bits != 0;
+           bits &= bits - 1) {
+        rows[r * width + pass[std::countr_zero(bits)]] = SpfArrays::kUnreached;
+      }
     }
   }
 }

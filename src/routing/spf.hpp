@@ -53,20 +53,21 @@ std::vector<LsaLink> live_links(const net::L3Switch& sw);
 std::vector<Route> compute_spf(const Lsdb& lsdb, net::Ipv4Addr self,
                                const std::vector<LocalAdjacency>& adjacency);
 
-/// Distance rows for destination-based route computation: one reverse
-/// shortest-path search per listed column d (an index into
-/// `destinations`), each giving every router's shortest distance *to*
-/// destinations[d] over the two-way edges, with an edge x→y costing x's
-/// advertised cost (as `compute_spf` run at x would count it). `rows` is
-/// node-major: rows[r · destinations.size() + d] is the distance from
-/// routers[r] to destinations[d], or SpfArrays::kUnreached. It is resized
-/// to routers.size() · destinations.size() entries, the listed columns
-/// are filled and every other entry keeps its value. Every entry of
-/// `routers` and `destinations` must be a router of `g`. Each search is
-/// Dial's bucket queue with (largest two-way cost + 1) buckets: exact for
-/// any non-negative integer costs, sized for a fabric's small ones.
-/// Throws std::invalid_argument on a negative cost. Uses the graph's
-/// shared scratch, like `compute_spf`.
+/// Distance rows for destination-based route computation: for each listed
+/// column d (an index into `destinations`), every router's shortest
+/// distance *to* destinations[d] over the two-way edges, with an edge x→y
+/// costing x's advertised cost (as `compute_spf` run at x would count
+/// it). `rows` is node-major: rows[r · destinations.size() + d] is the
+/// distance from routers[r] to destinations[d], or SpfArrays::kUnreached.
+/// It is resized to routers.size() · destinations.size() entries, the
+/// listed columns are filled and every other entry keeps its value. Every
+/// entry of `routers` and `destinations` must be a router of `g`. The
+/// listed columns are searched in ascending order, 64 per pass of one
+/// reverse Dial bucket queue with (largest two-way cost + 1) buckets, each
+/// queued router carrying the set of the pass's columns that reached it:
+/// exact for any non-negative integer costs, sized for a fabric's small
+/// ones. Throws std::invalid_argument on a negative cost or a router
+/// listed twice in `routers`.
 void reverse_spf_rows(const LinkStateGraph& g,
                       const std::vector<RouterIndex>& routers,
                       const std::vector<RouterIndex>& destinations,

@@ -238,10 +238,11 @@ bool detected_up(const net::Link::End& end) {
 /// whose routes did not change keeps its FIB generation. After a step with
 /// one computation, each switch's FIB wrote exactly one slot, with one
 /// generation bump and one change-hook call, per route that changed.
-void check_routes_follow_spf(const std::string& topology, int ports,
+void check_routes_follow_spf(const std::string& label,
+                             const core::Testbed::TopoBuilder& builder,
                              std::uint32_t seed) {
-  SCOPED_TRACE(topology + " k=" + std::to_string(ports));
-  core::Testbed bed(core::topology_builder(topology, ports), central_config());
+  SCOPED_TRACE(label);
+  core::Testbed bed(builder, central_config());
   const auto& topo = bed.topo();
   const auto switches = topo.all_switches();
   std::size_t hook_calls = 0;
@@ -388,11 +389,21 @@ void check_routes_follow_spf(const std::string& topology, int ports,
 
 TEST(Central, RoutesEqualComputeSpfUnderChurn) {
   std::uint32_t seed = 0xC0FFEE;
-  for (const char* topology : {"fat", "f2", "vl2-f2", "leafspine-f2"}) {
+  for (const std::string topology : {"fat", "f2", "vl2-f2", "leafspine-f2"}) {
     for (const int ports : {4, 8}) {
-      check_routes_follow_spf(topology, ports, seed++);
+      check_routes_follow_spf(topology + " k=" + std::to_string(ports),
+                              core::topology_builder(topology, ports), seed++);
     }
   }
+  // A spine's 136 live ports span five 32-bit mask words of the read-off,
+  // and the 136 leaves' columns take three 64-column passes of the rows.
+  check_routes_follow_spf(
+      "leafspine k=136",
+      [](net::Network& n) {
+        return topo::build_leaf_spine(
+            n, topo::LeafSpineOptions{.ports = 136, .hosts_per_leaf = 1});
+      },
+      seed++);
 }
 
 /// converge() while a recompute's pushes are in flight: they land over

@@ -189,13 +189,16 @@ std::vector<std::size_t> every_column(std::size_t width) {
 }
 
 /// reverse_spf_rows against Floyd–Warshall on seeded random link-state
-/// databases of 20–60 routers with costs 0–7, one-way links and one
+/// databases of 20–200 routers with costs 0–7, one-way links and one
 /// isolated router: every entry is the shortest distance over the two-way
-/// edges, an edge x→y costing x's advertised cost, or kUnreached.
+/// edges, an edge x→y costing x's advertised cost, or kUnreached. Above
+/// 64 routers a fill takes several 64-column passes, the last one
+/// partial. A fill of a shuffled subset of the columns over rows preset
+/// to a sentinel writes exactly the listed columns.
 TEST(ReverseSpfRows, MatchFloydWarshallOnRandomCosts) {
   std::mt19937 rng(0x0D1A1);
   for (int trial = 0; trial < 40; ++trial) {
-    const int n = 20 + static_cast<int>(rng() % 41);
+    const int n = 20 + static_cast<int>(rng() % 181);
     SCOPED_TRACE("trial " + std::to_string(trial) + ", " + std::to_string(n) +
                  " routers");
     const RandomDb random(rng, n, 0, 7);
@@ -231,15 +234,35 @@ TEST(ReverseSpfRows, MatchFloydWarshallOnRandomCosts) {
     std::vector<RouterIndex> destinations;
     for (const int d : order) destinations.push_back(all[d]);
 
+    const auto expect_column = [&](const std::vector<int>& rows, int c) {
+      for (int r = 0; r < n; ++r) {
+        const long want = dist[r][order[c]];
+        EXPECT_EQ(rows[static_cast<std::size_t>(r * n + c)],
+                  want == kInf ? SpfArrays::kUnreached : want)
+            << r << " -> " << order[c];
+      }
+    };
     std::vector<int> rows;
     reverse_spf_rows(g, all, destinations, every_column(destinations.size()),
                      rows);
     ASSERT_EQ(rows.size(), static_cast<std::size_t>(n * n));
-    for (int r = 0; r < n; ++r) {
-      for (int c = 0; c < n; ++c) {
-        const long want = dist[r][order[c]];
-        EXPECT_EQ(rows[static_cast<std::size_t>(r * n + c)],
-                  want == kInf ? SpfArrays::kUnreached : want)
+    for (int c = 0; c < n; ++c) expect_column(rows, c);
+
+    constexpr int kSentinel = -7;
+    std::vector<std::size_t> subset = every_column(destinations.size());
+    std::shuffle(subset.begin(), subset.end(), rng);
+    subset.resize(1 + rng() % subset.size());
+    std::vector<int> partial(rows.size(), kSentinel);
+    reverse_spf_rows(g, all, destinations, subset, partial);
+    std::vector<bool> listed(n, false);
+    for (const std::size_t c : subset) listed[c] = true;
+    for (int c = 0; c < n; ++c) {
+      if (listed[c]) {
+        expect_column(partial, c);
+        continue;
+      }
+      for (int r = 0; r < n; ++r) {
+        EXPECT_EQ(partial[static_cast<std::size_t>(r * n + c)], kSentinel)
             << r << " -> " << order[c];
       }
     }
@@ -258,7 +281,7 @@ TEST(StaleColumns, RefillEqualsFullFillUnderChurn) {
   std::size_t moved = 0;
   std::size_t columns_seen = 0;
   for (int trial = 0; trial < 30; ++trial) {
-    const int n = 20 + static_cast<int>(rng() % 41);
+    const int n = 20 + static_cast<int>(rng() % 181);
     SCOPED_TRACE("trial " + std::to_string(trial) + ", " + std::to_string(n) +
                  " routers");
     RandomDb random(rng, n, 1, 7);
@@ -480,6 +503,21 @@ TEST(ReverseSpfRows, RejectNegativeCost) {
   db.consider(make_lsa(B, {A}));
   const LinkStateGraph& g = db.graph();
   const std::vector<RouterIndex> routers{g.index_of(A), g.index_of(B)};
+  std::vector<int> rows;
+  EXPECT_THROW(reverse_spf_rows(g, routers, {g.index_of(B)}, {0}, rows),
+               std::invalid_argument);
+}
+
+/// Distances are written into each router's row as the router is reached,
+/// so a router listed twice, whose second row would never be written, is
+/// rejected.
+TEST(ReverseSpfRows, RejectRouterListedTwice) {
+  Lsdb db;
+  db.consider(make_lsa(A, {B}));
+  db.consider(make_lsa(B, {A}));
+  const LinkStateGraph& g = db.graph();
+  const std::vector<RouterIndex> routers{g.index_of(A), g.index_of(B),
+                                         g.index_of(A)};
   std::vector<int> rows;
   EXPECT_THROW(reverse_spf_rows(g, routers, {g.index_of(B)}, {0}, rows),
                std::invalid_argument);
