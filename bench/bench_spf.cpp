@@ -1,11 +1,12 @@
 /// Control-plane fast-path benchmark: single-link-failure reconvergence
-/// SPF, full Dijkstra (compute_spf) vs the incremental SpfSolver, at
-/// k = 8/16/20/32 fat trees, plus the FIB install delta each recompute
-/// produces, the wall clock of one CentralController::converge() — the
-/// distance rows, 64 destinations per pass, then every switch's routes
-/// and FIB install — at k = 16 and 32, and of one batched controller
-/// recompute after a ToR uplink failure at k = 32. Each converge's routes
-/// are checked against compute_spf, outside the timed region.
+/// SPF (compute_spf, one breadth-first search) at k = 8/16/20/32 fat
+/// trees, the median of 9 timing loops each, plus the FIB install delta
+/// each recompute produces; the wall clock of one
+/// CentralController::converge() — the distance rows, 64 destinations per
+/// pass, then every switch's routes and FIB install — at k = 16 and 32;
+/// and of one batched controller recompute after a ToR uplink failure at
+/// k = 32. Each converge's routes are checked against compute_spf,
+/// outside the timed region.
 /// Emits BENCH_spf.json (see bench_util.hpp); the committed Release
 /// baseline lives in bench/baselines/.
 ///
@@ -14,7 +15,9 @@
 /// aggregation switch, whose first-hop sets actually change when a
 /// remote rack loses an uplink — reconverges. Each direction of the cut
 /// arrives as its own LSA, exactly as flooding delivers it, and the SPF
-/// run after both is what reconvergence pays per event.
+/// run after both is what reconvergence pays per event. The bench exits 1
+/// unless the failure and the recovery each change exactly one FIB slot
+/// there: the failed ToR's prefix loses, then regains, one next hop.
 
 #include <algorithm>
 #include <chrono>
@@ -43,9 +46,7 @@ routing::LsaPtr reissue(const routing::Lsa& base, net::Ipv4Addr peer,
                         std::uint64_t seq) {
   auto lsa = std::make_shared<routing::Lsa>(base);
   lsa->sequence = seq;
-  std::erase_if(lsa->links, [&](const routing::LsaLink& l) {
-    return l.neighbor == peer;
-  });
+  std::erase(lsa->links, peer);
   return lsa;
 }
 
@@ -59,15 +60,15 @@ std::vector<routing::Route> canonical(std::vector<routing::Route> routes) {
 }
 
 struct CaseResult {
-  double full_ns_per_run = 0;
-  double incremental_ns_per_run = 0;
+  double full_ns_per_run = 0;   ///< median over kLoops timing loops
   std::size_t delta_down = 0;   ///< FIB slots touched by the failure
   std::size_t delta_up = 0;     ///< ... and by the recovery
   std::size_t routes = 0;       ///< converged route count at the agg
   std::size_t switches = 0;
-  bool equivalent = false;
-  bool all_incremental = false;
 };
+
+/// Timing loops per case; each row is the median loop's mean run.
+constexpr int kLoops = 9;
 
 CaseResult run_case(int ports, int iterations) {
   sim::Simulator sim(1);
@@ -113,72 +114,43 @@ CaseResult run_case(int ports, int iterations) {
   const routing::Lsa& tor_base = *base.at(tor);
   const routing::Lsa& agg_base = *base.at(agg);
   std::uint64_t seq = 2;
+  // Floods both directions of the cut (down) or of the repair (up).
+  const auto cut = [&](bool down) {
+    lsdb.consider(reissue(tor_base, down ? agg : net::Ipv4Addr{}, seq++));
+    lsdb.consider(reissue(agg_base, down ? tor : net::Ipv4Addr{}, seq++));
+  };
 
   CaseResult out;
   out.switches = topo.all_switches().size();
 
-  // --- Full recompute timing -------------------------------------------
-  double full_ns = 0;
+  std::vector<double> loops;
   std::size_t sink = 0;
-  for (int i = 0; i < iterations; ++i) {
-    lsdb.consider(reissue(tor_base, agg, seq++));
-    lsdb.consider(reissue(agg_base, tor, seq++));
-    auto t0 = Clock::now();
-    auto routes = routing::compute_spf(lsdb, self, adjacency);
-    auto t1 = Clock::now();
-    full_ns += ns_between(t0, t1);
-    sink += routes.size();
-    lsdb.consider(reissue(tor_base, {}, seq++));
-    lsdb.consider(reissue(agg_base, {}, seq++));
-    t0 = Clock::now();
-    routes = routing::compute_spf(lsdb, self, adjacency);
-    t1 = Clock::now();
-    full_ns += ns_between(t0, t1);
-    sink += routes.size();
+  for (int loop = 0; loop < kLoops; ++loop) {
+    double ns = 0;
+    for (int i = 0; i < 2 * iterations; ++i) {
+      cut(i % 2 == 0);
+      const auto t0 = Clock::now();
+      const auto routes = routing::compute_spf(lsdb, self, adjacency);
+      ns += ns_between(t0, Clock::now());
+      sink += routes.size();
+    }
+    loops.push_back(ns / (2.0 * iterations));
   }
-  out.full_ns_per_run = full_ns / (2.0 * iterations);
-
-  // --- Incremental solver timing ---------------------------------------
-  routing::SpfSolver solver;
-  out.routes = solver.run(lsdb, self, adjacency).size();  // prime: full run
-  bool all_incremental = true;
-  double inc_ns = 0;
-  for (int i = 0; i < iterations; ++i) {
-    lsdb.consider(reissue(tor_base, agg, seq++));
-    lsdb.consider(reissue(agg_base, tor, seq++));
-    auto t0 = Clock::now();
-    auto routes = solver.run(lsdb, self, adjacency);
-    auto t1 = Clock::now();
-    inc_ns += ns_between(t0, t1);
-    all_incremental = all_incremental && solver.last_run_incremental();
-    sink += routes.size();
-    lsdb.consider(reissue(tor_base, {}, seq++));
-    lsdb.consider(reissue(agg_base, {}, seq++));
-    t0 = Clock::now();
-    routes = solver.run(lsdb, self, adjacency);
-    t1 = Clock::now();
-    inc_ns += ns_between(t0, t1);
-    all_incremental = all_incremental && solver.last_run_incremental();
-    sink += routes.size();
-  }
-  out.incremental_ns_per_run = inc_ns / (2.0 * iterations);
-  out.all_incremental = all_incremental;
+  std::sort(loops.begin(), loops.end());
+  out.full_ns_per_run = loops[loops.size() / 2];
   if (sink == 0) std::cerr << "bench_spf: empty route sets\n";
 
-  // --- Equivalence sanity + FIB install delta sizes --------------------
-  out.equivalent = canonical(solver.run(lsdb, self, adjacency)) ==
-                   canonical(routing::compute_spf(lsdb, self, adjacency));
+  // FIB install delta sizes, untimed.
   routing::Fib fib;
-  fib.apply_source_delta(routing::RouteSource::kOspf,
-                         solver.run(lsdb, self, adjacency));
-  lsdb.consider(reissue(tor_base, agg, seq++));
-  lsdb.consider(reissue(agg_base, tor, seq++));
-  out.delta_down = fib.apply_source_delta(routing::RouteSource::kOspf,
-                                          solver.run(lsdb, self, adjacency));
-  lsdb.consider(reissue(tor_base, {}, seq++));
-  lsdb.consider(reissue(agg_base, {}, seq++));
-  out.delta_up = fib.apply_source_delta(routing::RouteSource::kOspf,
-                                        solver.run(lsdb, self, adjacency));
+  auto routes = routing::compute_spf(lsdb, self, adjacency);
+  out.routes = routes.size();
+  fib.apply_source_delta(routing::RouteSource::kOspf, std::move(routes));
+  cut(true);
+  out.delta_down = fib.apply_source_delta(
+      routing::RouteSource::kOspf, routing::compute_spf(lsdb, self, adjacency));
+  cut(false);
+  out.delta_up = fib.apply_source_delta(
+      routing::RouteSource::kOspf, routing::compute_spf(lsdb, self, adjacency));
   return out;
 }
 
@@ -300,28 +272,21 @@ int main() {
 
   std::vector<bench::BenchResult> results;
   bool ok = true;
-  std::cout << "single-link-failure reconvergence SPF, fat tree\n"
-            << "  k   switches  routes  full ns/run  incr ns/run  speedup"
-            << "  delta(down/up)\n";
+  std::cout << "single-link-failure reconvergence SPF, fat tree (median of "
+            << kLoops << " loops)\n"
+            << "  k   switches  routes  full ns/run  delta(down/up)\n";
   for (const auto& c : cases) {
     const CaseResult r = run_case(c.ports, c.iterations);
-    const double speedup =
-        r.incremental_ns_per_run > 0
-            ? r.full_ns_per_run / r.incremental_ns_per_run
-            : 0;
+    const bool one_slot = r.delta_down == 1 && r.delta_up == 1;
     std::cout << "  " << c.ports << "  " << r.switches << "  " << r.routes
-              << "  " << r.full_ns_per_run << "  " << r.incremental_ns_per_run
-              << "  " << speedup << "x  " << r.delta_down << "/" << r.delta_up
-              << (r.equivalent ? "" : "  [MISMATCH]")
-              << (r.all_incremental ? "" : "  [FELL BACK TO FULL]") << "\n";
-    ok = ok && r.equivalent && r.all_incremental;
+              << "  " << r.full_ns_per_run << "  " << r.delta_down << "/"
+              << r.delta_up << (one_slot ? "" : "  [NOT ONE SLOT EACH]")
+              << "\n";
+    ok = ok && one_slot;
     std::string k = "/";
     k += std::to_string(c.ports);
     results.push_back({"SpfFullLinkFailure" + k, "real_time",
                        r.full_ns_per_run, "ns"});
-    results.push_back({"SpfIncrementalLinkFailure" + k, "real_time",
-                       r.incremental_ns_per_run, "ns"});
-    results.push_back({"SpfIncremental_speedup" + k, "speedup", speedup, "x"});
     results.push_back({"SpfFibDeltaDown" + k, "size",
                        static_cast<double>(r.delta_down), "entries"});
     results.push_back({"SpfFibDeltaUp" + k, "size",
@@ -349,7 +314,8 @@ int main() {
   results.push_back({"CentralRecompute/32", "real_time", recompute_ms, "ms"});
 
   if (!ok) {
-    std::cerr << "bench_spf: solver diverged from compute_spf or fell back\n";
+    std::cerr << "bench_spf: a failure or recovery did not change exactly "
+                 "one FIB slot at the aggregation switch\n";
     return 1;
   }
   if (!converged) {

@@ -472,8 +472,9 @@ if cmake -B "$RBUILD" -S . -DCMAKE_BUILD_TYPE=Release >"$OUT/release_configure.t
     fail=1
   fi
   # The control-plane fast path: bench_spf exits nonzero if the
-  # incremental solver diverges from compute_spf or falls back to full
-  # runs on the single-link-failure scenario.
+  # single-link failure or its recovery does not change exactly one FIB
+  # slot at the computing switch, or a controller converge or recompute
+  # fails its checks against compute_spf and the FIBs.
   if ! (cd "$OUT/release" && "../../$RBUILD/bench/bench_spf") \
       >"$OUT/release/bench_spf.txt" 2>&1; then
     echo "release bench_spf FAILED (see $OUT/release/bench_spf.txt)"

@@ -626,6 +626,38 @@ std::vector<SurvivabilityAggregate> aggregate_survivability(
   return out;
 }
 
+SloAggregate aggregate_slo(const std::vector<ShardResult>& runs) {
+  SloAggregate agg;
+  double missed_in = 0;
+  double missed_out = 0;
+  for (const ShardResult& r : runs) {
+    if (!r.slo) continue;
+    ++agg.runs;
+    agg.flows += r.slo_flows;
+    agg.completed += r.slo_completed;
+    agg.deadline_flows_in += r.slo_deadline_in;
+    agg.deadline_flows_out += r.slo_deadline_out;
+    missed_in += r.slo_miss_in * static_cast<double>(r.slo_deadline_in);
+    missed_out += r.slo_miss_out * static_cast<double>(r.slo_deadline_out);
+    agg.fct_p50_ms_mean += r.fct_p50_ms;
+    agg.fct_p99_ms_mean += r.fct_p99_ms;
+    agg.fct_p999_ms_mean += r.fct_p999_ms;
+    agg.fct_p99_ms_max = std::max(agg.fct_p99_ms_max, r.fct_p99_ms);
+    agg.fct_p999_ms_max = std::max(agg.fct_p999_ms_max, r.fct_p999_ms);
+  }
+  const double n = agg.runs > 0 ? static_cast<double>(agg.runs) : 1;
+  agg.fct_p50_ms_mean /= n;
+  agg.fct_p99_ms_mean /= n;
+  agg.fct_p999_ms_mean /= n;
+  if (agg.deadline_flows_in > 0) {
+    agg.miss_in = missed_in / static_cast<double>(agg.deadline_flows_in);
+  }
+  if (agg.deadline_flows_out > 0) {
+    agg.miss_out = missed_out / static_cast<double>(agg.deadline_flows_out);
+  }
+  return agg;
+}
+
 CampaignSpec survivability_spec(
     const std::vector<CampaignSpec::TopologyAxis>& topologies, int draws,
     std::uint64_t base_seed) {
@@ -909,52 +941,18 @@ void CampaignResult::write_json(std::ostream& os,
     os << "  ]}";
   }
   if (spec.workload.enabled) {
-    // Campaign-level SLO rollup over the shards that carried the
-    // workload: flow totals, the mean/max of the per-run FCT tail
-    // percentiles, and the *pooled* deadline-miss fractions (weighted by
-    // each run's deadline-bearing flow count — a run with 10x the flows
-    // moves the pooled fraction 10x as much).
-    int slo_runs = 0;
-    std::size_t flows = 0;
-    std::size_t completed = 0;
-    std::size_t dl_in = 0;
-    std::size_t dl_out = 0;
-    double missed_in = 0;
-    double missed_out = 0;
-    double p50_sum = 0;
-    double p99_sum = 0;
-    double p999_sum = 0;
-    double p99_max = 0;
-    double p999_max = 0;
-    for (const ShardResult& r : runs) {
-      if (!r.slo) continue;
-      ++slo_runs;
-      flows += r.slo_flows;
-      completed += r.slo_completed;
-      dl_in += r.slo_deadline_in;
-      dl_out += r.slo_deadline_out;
-      missed_in += r.slo_miss_in * static_cast<double>(r.slo_deadline_in);
-      missed_out += r.slo_miss_out * static_cast<double>(r.slo_deadline_out);
-      p50_sum += r.fct_p50_ms;
-      p99_sum += r.fct_p99_ms;
-      p999_sum += r.fct_p999_ms;
-      p99_max = std::max(p99_max, r.fct_p99_ms);
-      p999_max = std::max(p999_max, r.fct_p999_ms);
-    }
-    const double n = slo_runs > 0 ? static_cast<double>(slo_runs) : 1;
-    os << ",\n  \"slo\": {\"runs\": " << slo_runs << ", \"flows\": " << flows
-       << ", \"completed\": " << completed
-       << ", \"fct_p50_ms_mean\": " << fmt(p50_sum / n)
-       << ", \"fct_p99_ms_mean\": " << fmt(p99_sum / n)
-       << ", \"fct_p999_ms_mean\": " << fmt(p999_sum / n)
-       << ", \"fct_p99_ms_max\": " << fmt(p99_max)
-       << ", \"fct_p999_ms_max\": " << fmt(p999_max)
-       << ", \"deadline_flows_in\": " << dl_in
-       << ", \"deadline_flows_out\": " << dl_out << ", \"miss_in\": "
-       << fmt(dl_in > 0 ? missed_in / static_cast<double>(dl_in) : 0)
-       << ", \"miss_out\": "
-       << fmt(dl_out > 0 ? missed_out / static_cast<double>(dl_out) : 0)
-       << "}";
+    const SloAggregate slo = aggregate_slo(runs);
+    os << ",\n  \"slo\": {\"runs\": " << slo.runs
+       << ", \"flows\": " << slo.flows << ", \"completed\": " << slo.completed
+       << ", \"fct_p50_ms_mean\": " << fmt(slo.fct_p50_ms_mean)
+       << ", \"fct_p99_ms_mean\": " << fmt(slo.fct_p99_ms_mean)
+       << ", \"fct_p999_ms_mean\": " << fmt(slo.fct_p999_ms_mean)
+       << ", \"fct_p99_ms_max\": " << fmt(slo.fct_p99_ms_max)
+       << ", \"fct_p999_ms_max\": " << fmt(slo.fct_p999_ms_max)
+       << ", \"deadline_flows_in\": " << slo.deadline_flows_in
+       << ", \"deadline_flows_out\": " << slo.deadline_flows_out
+       << ", \"miss_in\": " << fmt(slo.miss_in)
+       << ", \"miss_out\": " << fmt(slo.miss_out) << "}";
   }
   if (include_profile) {
     double shard_wall = 0;

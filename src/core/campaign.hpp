@@ -285,6 +285,29 @@ struct SurvivabilityAggregate {
 std::vector<SurvivabilityAggregate> aggregate_survivability(
     const std::vector<ShardResult>& runs, sim::Time window);
 
+/// Campaign-level SLO rollup over the runs that carried the workload
+/// (`ShardResult::slo`; the rest are skipped): flow totals, the mean and
+/// max of the per-run FCT tail percentiles, and the *pooled*
+/// deadline-miss fractions, which weight each run by its deadline-bearing
+/// flow count (a run with 10x the flows moves the pooled fraction 10x as
+/// much). All zeros when no run carried the workload.
+struct SloAggregate {
+  int runs = 0;
+  std::size_t flows = 0;
+  std::size_t completed = 0;
+  double fct_p50_ms_mean = 0;
+  double fct_p99_ms_mean = 0;
+  double fct_p999_ms_mean = 0;
+  double fct_p99_ms_max = 0;
+  double fct_p999_ms_max = 0;
+  std::size_t deadline_flows_in = 0;
+  std::size_t deadline_flows_out = 0;
+  double miss_in = 0;
+  double miss_out = 0;
+};
+
+SloAggregate aggregate_slo(const std::vector<ShardResult>& runs);
+
 /// Spec generator for a survivability sweep: `draws` random single-link
 /// failure processes per (topology, control) — thousands of seeds over
 /// randomly drawn failure sites producing the reliability/availability

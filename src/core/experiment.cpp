@@ -141,11 +141,6 @@ Testbed::Testbed(const TopoBuilder& builder, const TestbedConfig& config)
             return c.spf_runs;
           }));
       obs_->metrics.register_probe(
-          "ospf.spf_incremental_runs",
-          ospf_probe([](const routing::Ospf::Counters& c) {
-            return c.spf_incremental_runs;
-          }));
-      obs_->metrics.register_probe(
           "ospf.fib_installs",
           ospf_probe([](const routing::Ospf::Counters& c) {
             return c.fib_installs;
@@ -278,7 +273,6 @@ routing::Ospf::Counters Testbed::total_ospf_counters() const {
     total.lsas_accepted += c.lsas_accepted;
     total.lsas_ignored += c.lsas_ignored;
     total.spf_runs += c.spf_runs;
-    total.spf_incremental_runs += c.spf_incremental_runs;
     total.fib_installs += c.fib_installs;
     total.fib_noop_installs += c.fib_noop_installs;
   }

@@ -128,9 +128,6 @@ void attach_journal(sim::Simulator& sim, routing::Ospf& ospf,
       case routing::Ospf::ObsEvent::kSpfRun:
         e.type = EventType::kSpfRun;
         break;
-      case routing::Ospf::ObsEvent::kSpfRunIncremental:
-        e.type = EventType::kSpfRunIncremental;
-        break;
       case routing::Ospf::ObsEvent::kFibInstall:
         e.type = EventType::kFibInstall;
         break;

@@ -11,7 +11,6 @@ const char* event_type_name(EventType type) {
     case EventType::kLsaOriginated: return "lsa_originated";
     case EventType::kLsaAccepted: return "lsa_accepted";
     case EventType::kSpfRun: return "spf_run";
-    case EventType::kSpfRunIncremental: return "spf_run_incremental";
     case EventType::kFibInstall: return "fib_install";
     case EventType::kBackupActivated: return "backup_activated";
     case EventType::kControllerPush: return "controller_push";

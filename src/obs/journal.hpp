@@ -22,7 +22,6 @@ enum class EventType : std::uint8_t {
   kLsaOriginated,
   kLsaAccepted,
   kSpfRun,
-  kSpfRunIncremental,  ///< SPF served by the incremental subtree repair
   kFibInstall,
   kBackupActivated,
   kControllerPush,

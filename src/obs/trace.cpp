@@ -25,10 +25,6 @@ bool is_flood_event(EventType t) {
          t == EventType::kBgpUpdateSent || t == EventType::kBgpUpdateReceived;
 }
 
-bool is_spf_event(EventType t) {
-  return t == EventType::kSpfRun || t == EventType::kSpfRunIncremental;
-}
-
 bool is_install_event(EventType t) {
   return t == EventType::kFibInstall || t == EventType::kControllerPush;
 }
@@ -51,10 +47,10 @@ SpanTrace::SpanTrace(const std::vector<Event>& events,
 
     const int root = static_cast<int>(spans_.size());
     spans_.push_back({SpanKind::kRecovery, episode, -1, f.failed_at,
-                      f.failed_at, 1, 0, false});
+                      f.failed_at, 1, false});
 
     spans_.push_back({SpanKind::kLinkDown, episode, root, f.failed_at,
-                      f.failed_at, f.links.size(), 0, false});
+                      f.failed_at, f.links.size(), false});
     // The causal chain: each present stage parents the next; absent
     // stages (no detection, no convergence, …) are skipped and the chain
     // links to the nearest preceding stage instead.
@@ -62,7 +58,7 @@ SpanTrace::SpanTrace(const std::vector<Event>& events,
 
     if (f.detected()) {
       Span s{SpanKind::kDetect, episode, chain, f.failed_at, f.detected_at,
-             0,  0, false};
+             0, false};
       for (const Event& e : events) {
         if (!in_window(e)) continue;
         if (e.type == EventType::kPortDetectedDown) ++s.count;
@@ -76,31 +72,28 @@ SpanTrace::SpanTrace(const std::vector<Event>& events,
 
     if (f.backup_at >= 0) {
       spans_.push_back({SpanKind::kBackup, episode, chain, f.backup_at,
-                        f.backup_at, 1, 0, false});
+                        f.backup_at, 1, false});
     }
 
     // Flood / SPF / FIB stages span first → last matching journal event
     // in the episode window.
     const auto stage = [&](SpanKind kind, auto match) {
-      Span s{kind, episode, chain, -1, -1, 0, 0, false};
+      Span s{kind, episode, chain, -1, -1, 0, false};
       for (const Event& e : events) {
         if (!in_window(e) || !match(e)) continue;
-        if (s.count + s.count_incremental == 0) s.begin = e.at;
+        if (s.count == 0) s.begin = e.at;
         s.begin = std::min(s.begin, e.at);
         s.end = std::max(s.end, e.at);
-        if (e.type == EventType::kSpfRunIncremental) {
-          ++s.count_incremental;
-        } else {
-          ++s.count;
-        }
+        ++s.count;
       }
-      if (s.count + s.count_incremental == 0) return;
+      if (s.count == 0) return;
       chain = static_cast<int>(spans_.size());
       spans_.push_back(s);
     };
     stage(SpanKind::kFlood,
           [](const Event& e) { return is_flood_event(e.type); });
-    stage(SpanKind::kSpf, [](const Event& e) { return is_spf_event(e.type); });
+    stage(SpanKind::kSpf,
+          [](const Event& e) { return e.type == EventType::kSpfRun; });
     stage(SpanKind::kFibDelta,
           [](const Event& e) { return is_install_event(e.type); });
     // Pin the FIB stage's end to the timeline's convergence milestone —
@@ -115,7 +108,7 @@ SpanTrace::SpanTrace(const std::vector<Event>& events,
       // (clamped into the episode window for containment under the
       // root), ends at the first post-gap delivery.
       spans_.push_back({SpanKind::kFirstReroute, episode, chain,
-                        std::max(f.failed_at, f.gap_start), f.gap_end, 1, 0,
+                        std::max(f.failed_at, f.gap_start), f.gap_end, 1,
                         false});
     }
 
@@ -177,12 +170,7 @@ void SpanTrace::write_chrome_trace(std::ostream& os) const {
          << static_cast<std::int64_t>(sim::to_seconds(s.duration()) *
                                       wall_per_sim * 1e6);
     }
-    if (s.kind == SpanKind::kSpf) {
-      os << ", \"full\": " << s.count
-         << ", \"incremental\": " << s.count_incremental;
-    } else {
-      os << ", \"count\": " << s.count;
-    }
+    os << ", \"count\": " << s.count;
     if (s.kind == SpanKind::kDetect) {
       os << ", \"mode\": \"" << (s.bfd ? "bfd" : "oracle") << "\"";
     }

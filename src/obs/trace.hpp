@@ -41,9 +41,6 @@ struct Span {
   sim::Time begin = 0;
   sim::Time end = 0;
   std::uint64_t count = 0;  ///< folded journal events (links cut, LSAs, …)
-  /// kSpf only: count = full Dijkstra runs, count_incremental = runs
-  /// served by the incremental subtree repair.
-  std::uint64_t count_incremental = 0;
   bool bfd = false;  ///< kDetect only: a BFD session-down drove detection
 
   sim::Time duration() const { return end - begin; }

@@ -254,14 +254,13 @@ void CentralController::refresh_view() {
 /// neighbors n that minimize cost(self, n) + row[n]. That is exactly
 /// compute_spf's first-hop set: a row may route through `self`, but such
 /// a neighbor's sum exceeds the best by at least two links, and
-/// compute_spf's self edges are the live adjacency, as here. Precondition:
-/// every link in the view costs 1 (live_links advertises cost 1), so
-/// cost(self, n) is the same for every neighbor and the minimum is taken
-/// over the rows alone. The minima and argmin ports of every column are
-/// found port by port, and destinations with the same argmin ports share
-/// one next-hop group. A route to a destination depends on nothing else,
-/// so the previous route comes from the same read-off over the previous
-/// adjacency and rows.
+/// compute_spf's self edges are the live adjacency, as here. Every link
+/// costs 1, so cost(self, n) is the same for every neighbor and the
+/// minimum is taken over the rows alone. The minima and argmin ports of
+/// every column are found port by port, and destinations with the same
+/// argmin ports share one next-hop group. A route to a destination
+/// depends on nothing else, so the previous route comes from the same
+/// read-off over the previous adjacency and rows.
 std::vector<Route> CentralController::routes_of(
     std::size_t self, const std::vector<LocalAdjacency>& adjacency,
     const std::vector<std::size_t>* columns, const SavedColumns* before,

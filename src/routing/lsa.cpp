@@ -9,7 +9,7 @@ std::string Lsa::describe() const {
   os << "LSA[" << origin.str() << " seq=" << sequence << " links={";
   for (std::size_t i = 0; i < links.size(); ++i) {
     if (i > 0) os << ",";
-    os << links[i].neighbor.str();
+    os << links[i].str();
   }
   os << "} prefixes={";
   for (std::size_t i = 0; i < prefixes.size(); ++i) {

@@ -13,9 +13,9 @@ namespace f2t::routing {
 /// Alongside the LSA map the database maintains a `LinkStateGraph` — a
 /// dense router graph with the two-way check precomputed per edge —
 /// patched in place by every accepted LSA. SPF consumers (`compute_spf`,
-/// `SpfSolver`, `lsdb_reachable`) run on the graph instead of rescanning
-/// LSAs, and the graph's change log is what lets `SpfSolver` repair its
-/// tree incrementally.
+/// `reverse_spf_rows`, `lsdb_reachable`) run on the graph instead of
+/// rescanning LSAs, and the graph's change log is what lets
+/// `stale_columns` pick the distance columns a batch of changes can move.
 class Lsdb {
  public:
   /// Installs `lsa` if it is newer than what we hold for its origin.

@@ -19,36 +19,27 @@ inline constexpr RouterIndex kNoRouter = ~RouterIndex{0};
 /// One directed adjacency in the dense graph, owned by the advertising
 /// router. `two_way` caches OSPF's bidirectional check (the peer also
 /// advertises the reverse direction), so SPF never rescans the peer's
-/// LSA per relaxed edge; `rev_cost` is the peer's advertised cost back
-/// (meaningful only while `two_way`), which incremental repair needs when
-/// walking in-edges through a node's own edge list.
+/// LSA per relaxed edge. Every link costs 1, so an edge carries no cost.
 struct DenseEdge {
   RouterIndex to = kNoRouter;
-  int cost = 1;
-  int rev_cost = 1;
   bool two_way = false;
 };
 
-/// A tree-relevant change recorded by the graph as LSAs are accepted.
-/// Consumers (SpfSolver) replay these to decide whether the delta since
-/// their last run is confined enough for an incremental repair.
+/// A change to the edge set recorded by the graph as LSAs are accepted.
+/// `stale_columns` replays these to find the distance columns a batch of
+/// changes can move.
 enum class GraphEventKind : std::uint8_t {
   kLinkUp,      ///< pair (u,v) became two-way
   kLinkDown,    ///< pair (u,v) stopped being two-way
-  kCostChange,  ///< an advertised cost changed (conservative: full SPF)
   kOriginOnly,  ///< one-way membership change: only the origin's own SPF
                 ///< (which trusts local adjacency over the two-way check)
                 ///< can be affected
 };
 
 struct GraphEvent {
-  GraphEventKind kind = GraphEventKind::kCostChange;
+  GraphEventKind kind = GraphEventKind::kOriginOnly;
   RouterIndex u = kNoRouter;  ///< for kOriginOnly: the origin
   RouterIndex v = kNoRouter;
-  /// Directional costs of the pair at event time. For kLinkDown these are
-  /// the removed costs (no longer available from the graph itself).
-  int cost_uv = 1;
-  int cost_vu = 1;
 };
 
 /// Scratch state for a full SPF run over the dense graph: flat
@@ -67,40 +58,19 @@ struct SpfArrays {
   /// ascending neighbor order routes list their next hops in.
   std::vector<std::uint64_t> hops;
   std::size_t hop_words = 1;
-  std::vector<std::uint32_t> stamp;    ///< dist/hops live iff == epoch
-  std::vector<std::uint32_t> settled;  ///< node settled iff == epoch
+  std::vector<std::uint32_t> stamp;  ///< dist/hops live iff == epoch
   std::uint32_t epoch = 0;
-
-  /// Binary heap reused across runs: (dist, router address, index) with
-  /// the address as tie-break, mirroring the original implementation's
-  /// deterministic ordering.
-  struct HeapItem {
-    int dist;
-    std::uint32_t addr;
-    RouterIndex node;
-    friend bool operator<(const HeapItem& a, const HeapItem& b) {
-      // std::push_heap keeps the *largest* on top; invert for a min-heap.
-      if (a.dist != b.dist) return a.dist > b.dist;
-      return a.addr > b.addr;
-    }
-  };
-  std::vector<HeapItem> heap;
+  /// Routers in the order a run reaches them, reused across runs: SPF's
+  /// FIFO queue and `lsdb_reachable`'s stack.
+  std::vector<RouterIndex> queue;
 
   /// Grows the arrays to `n` nodes, sizes first-hop sets for `neighbors`
-  /// bits and starts a new run epoch.
+  /// bits, empties the queue and starts a new run epoch.
   void begin(std::size_t n, std::size_t neighbors);
-  /// Grows the arrays without invalidating live state (incremental SPF
-  /// keeps its tree across runs while new routers appear).
-  void ensure(std::size_t n);
 
   bool reached(RouterIndex i) const {
     return stamp[i] == epoch && dist[i] != kUnreached;
   }
-  int distance(RouterIndex i) const {
-    return stamp[i] == epoch ? dist[i] : kUnreached;
-  }
-  bool is_settled(RouterIndex i) const { return settled[i] == epoch; }
-  void settle(RouterIndex i) { settled[i] = epoch; }
 
   /// Makes slot `i` live, lazily clearing stale contents.
   void touch(RouterIndex i) {
@@ -109,11 +79,6 @@ struct SpfArrays {
       dist[i] = kUnreached;
       clear_hops(i);
     }
-  }
-  void set_unreached(RouterIndex i) {
-    touch(i);
-    dist[i] = kUnreached;
-    clear_hops(i);
   }
 
   const std::uint64_t* hops_of(RouterIndex i) const {
@@ -127,11 +92,6 @@ struct SpfArrays {
   }
   void add_hop(RouterIndex i, std::size_t neighbor) {
     hops_of(i)[neighbor / 64] |= std::uint64_t{1} << (neighbor % 64);
-  }
-  void copy_hops(RouterIndex to, RouterIndex from) {
-    std::uint64_t* dst = hops_of(to);
-    const std::uint64_t* src = hops_of(from);
-    for (std::size_t w = 0; w < hop_words; ++w) dst[w] = src[w];
   }
   /// ORs `from`'s set into `into`'s; true when `into` gained a member.
   bool unite_hops(RouterIndex into, RouterIndex from) {
@@ -152,8 +112,8 @@ struct SpfArrays {
 /// accepts an LSA, instead of being rebuilt per SPF run: router→index
 /// interning, per-router adjacency arrays with the two-way check
 /// precomputed per edge, the newest LSA per index (for prefix emission
-/// without hashing), and a bounded change log that lets `SpfSolver`
-/// classify the delta since its previous run.
+/// without hashing), and a bounded change log from which `stale_columns`
+/// finds the distance columns the changes since a version can move.
 ///
 /// The embedded `SpfArrays` scratch is mutable so `compute_spf` (a const
 /// consumer of the Lsdb) can reuse it across runs. One graph must only be
@@ -175,7 +135,7 @@ class LinkStateGraph {
   const std::vector<DenseEdge>& edges(RouterIndex i) const { return adj_[i]; }
 
   /// Monotone change counter: one tick per recorded GraphEvent. Equal
-  /// versions guarantee an identical two-way edge set and costs.
+  /// versions guarantee an identical edge set.
   std::uint64_t version() const { return version_; }
 
   /// Appends the events with version in (since, version()] to `out`,
@@ -183,13 +143,8 @@ class LinkStateGraph {
   /// `since` (caller must fall back to a full computation).
   bool changes_since(std::uint64_t since, std::vector<GraphEvent>& out) const;
 
-  /// True if any advertised cost is ≤ 0. Incremental repair assumes
-  /// strictly positive costs (parents strictly closer than children);
-  /// degenerate databases force the full path.
-  bool has_nonpositive_cost() const { return nonpositive_entries_ > 0; }
-
-  /// Patches the graph for an accepted LSA, diffing it against the
-  /// origin's live edge list.
+  /// Patches the graph for an accepted LSA, diffing its distinct peers
+  /// against the origin's live edge list.
   void apply(const LsaPtr& lsa);
 
   /// Directed edge from→to, or null. Degree-bounded linear scan.
@@ -200,9 +155,7 @@ class LinkStateGraph {
  private:
   RouterIndex intern(net::Ipv4Addr router);
   DenseEdge* find_edge_mut(RouterIndex from, RouterIndex to);
-  void record(GraphEventKind kind, RouterIndex u, RouterIndex v,
-              int cost_uv, int cost_vu);
-  void track_cost(int cost, int delta);
+  void record(GraphEventKind kind, RouterIndex u, RouterIndex v);
 
   std::vector<net::Ipv4Addr> routers_;
   std::vector<LsaPtr> lsas_;
@@ -212,12 +165,11 @@ class LinkStateGraph {
   std::uint64_t version_ = 0;
   std::uint64_t log_base_ = 0;  ///< events_[0] has version log_base_ + 1
   std::vector<GraphEvent> events_;
-  int nonpositive_entries_ = 0;
 
   mutable SpfArrays scratch_;
 
   // The log only exists to classify small deltas; once it outgrows this
-  // bound every consumer would fall back to full SPF anyway, so the old
+  // bound every consumer would refill every column anyway, so the old
   // half is dropped and `changes_since` reports the trim.
   static constexpr std::size_t kMaxLog = 512;
 };

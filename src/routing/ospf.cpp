@@ -51,8 +51,7 @@ void Ospf::warm_start(const std::vector<LsaPtr>& all_lsas) {
 }
 
 std::vector<Route> Ospf::compute_routes() {
-  auto routes = solver_.run(lsdb_, sw_.router_id(), live_adjacency(sw_));
-  if (solver_.last_run_incremental()) ++counters_.spf_incremental_runs;
+  auto routes = compute_spf(lsdb_, sw_.router_id(), live_adjacency(sw_));
   // Do not learn a route to a prefix we redistribute ourselves.
   std::erase_if(routes, [this](const Route& r) {
     return std::find(redistributed_.begin(), redistributed_.end(), r.prefix) !=
@@ -75,12 +74,7 @@ void Ospf::install_routes(std::vector<Route> routes) {
 void Ospf::run_spf_now() {
   ++counters_.spf_runs;
   auto routes = compute_routes();
-  // The hook fires after the solver ran so the event can say whether the
-  // incremental repair served this run.
-  if (obs_hook_) {
-    obs_hook_(solver_.last_run_incremental() ? ObsEvent::kSpfRunIncremental
-                                             : ObsEvent::kSpfRun);
-  }
+  if (obs_hook_) obs_hook_(ObsEvent::kSpfRun);
   install_routes(std::move(routes));
 }
 
@@ -145,10 +139,7 @@ void Ospf::run_spf_and_schedule_install() {
   throttle_.ran(sim.now());
   ++counters_.spf_runs;
   auto routes = compute_routes();
-  if (obs_hook_) {
-    obs_hook_(solver_.last_run_incremental() ? ObsEvent::kSpfRunIncremental
-                                             : ObsEvent::kSpfRun);
-  }
+  if (obs_hook_) obs_hook_(ObsEvent::kSpfRun);
   // Model the SPF computation cost (grows with the LSDB) plus the
   // RIB->FIB download delay: the data plane keeps using the old entries
   // (and the static backups) until the install completes. The install

@@ -46,8 +46,8 @@ class Ospf {
     std::uint64_t lsas_accepted = 0;
     std::uint64_t lsas_ignored = 0;
     std::uint64_t spf_runs = 0;
-    /// Subset of spf_runs served by the incremental subtree repair
-    /// instead of a full Dijkstra (see SpfSolver).
+    /// Always 0: every run is a full compute_spf. Kept only because
+    /// perfbench/trace_main.cpp reads it (routing.spf_incremental_share).
     std::uint64_t spf_incremental_runs = 0;
     /// FIB installs that actually changed at least one entry. Recomputes
     /// yielding an identical route set leave the FIB (and its generation)
@@ -58,15 +58,11 @@ class Ospf {
 
   /// Protocol milestones surfaced to the observability layer. Fired at the
   /// sim time the milestone happens (e.g. kFibInstall only after the
-  /// FIB-update delay elapsed and the routes are live). SPF runs report
-  /// which solver path served them — kSpfRun for a full Dijkstra,
-  /// kSpfRunIncremental when the incremental subtree repair applied — so
-  /// the span tracer can attribute recovery latency to the solver mode.
+  /// FIB-update delay elapsed and the routes are live).
   enum class ObsEvent {
     kLsaOriginated,
     kLsaAccepted,
     kSpfRun,
-    kSpfRunIncremental,
     kFibInstall,
   };
   using ObsHook = std::function<void(ObsEvent)>;
@@ -114,7 +110,7 @@ class Ospf {
   void schedule_spf();
   void run_spf_and_schedule_install();
 
-  /// Runs the solver and drops redistributed prefixes from the result.
+  /// Runs compute_spf and drops redistributed prefixes from the result.
   std::vector<Route> compute_routes();
   /// Applies a computed route set to the FIB as a delta and maintains the
   /// install counters/observability events. Shared tail of every install.
@@ -123,7 +119,6 @@ class Ospf {
   net::L3Switch& sw_;
   OspfConfig config_;
   Lsdb lsdb_;
-  SpfSolver solver_;
   SpfThrottle throttle_;
   std::vector<net::Prefix> redistributed_;
   std::uint64_t self_sequence_ = 0;

@@ -25,10 +25,7 @@ FluidProbe::FluidProbe(net::Network& network, const net::Host& src,
       sim_(network.simulator()),
       src_(src),
       dst_(dst),
-      options_(options),
-      flows_(std::make_unique<FluidFlowTable>(
-          2 * network.link_count(),
-          network.default_link_params().bandwidth_bps)) {
+      options_(options) {
   if (options_.stop == sim::kNever) {
     throw std::invalid_argument("FluidProbe: stop must be finite");
   }
@@ -51,25 +48,9 @@ FluidProbe::FluidProbe(net::Network& network, const net::Host& src,
                                        options_.interval - 1) /
                 static_cast<std::uint64_t>(options_.interval);
 
-  // Per-channel capacities for the rate table (links may deviate from the
-  // network default).
-  for (net::Link* link : network_.links()) {
-    flows_->set_capacity(channel_key(*link, net::Link::Direction::kAToB),
-                         link->params().bandwidth_bps);
-    flows_->set_capacity(channel_key(*link, net::Link::Direction::kBToA),
-                         link->params().bandwidth_bps);
-  }
-  // CBR demand: one wire-sized datagram per interval.
-  const double demand_bps = static_cast<double>(wire_bytes_) * 8.0 /
-                            sim::to_seconds(options_.interval);
-  probe_flow_ = flows_->add_flow({}, demand_bps);
-
   attach_hooks();
   retrace_regime();
-  sync_flow_path();
 }
-
-FluidProbe::~FluidProbe() = default;
 
 void FluidProbe::attach_hooks() {
   channel_log_.assign(2 * network_.link_count(), {});
@@ -242,19 +223,21 @@ void FluidProbe::process_change() {
   for (const std::uint32_t i : pending_scratch_) advance_pending(i, now);
 
   retrace_regime();
-  sync_flow_path();
 }
 
-void FluidProbe::sync_flow_path() {
-  std::vector<std::uint32_t> path;
-  if (regime_terminal_ == net::WalkEnd::kDelivered) {
-    path.reserve(regime_hops_.size());
-    for (const Hop& hop : regime_hops_) path.push_back(hop.channel);
+double FluidProbe::probe_rate_bps() const {
+  if (regime_terminal_ != net::WalkEnd::kDelivered || regime_hops_.empty()) {
+    return 0.0;
   }
-  flows_->set_path(probe_flow_, std::move(path));
+  // CBR demand: one wire-sized datagram per interval.
+  double rate = static_cast<double>(wire_bytes_) * 8.0 /
+                sim::to_seconds(options_.interval);
+  for (const Hop& hop : regime_hops_) {
+    const net::Link& link = network_.link(hop.channel / 2);
+    rate = std::min(rate, link.params().bandwidth_bps);
+  }
+  return rate;
 }
-
-double FluidProbe::probe_rate_bps() { return flows_->rate_of(probe_flow_); }
 
 bool FluidProbe::channel_clean(std::uint32_t channel) const {
   return channel_log_[channel].empty() && channel_init_up_[channel] != 0;

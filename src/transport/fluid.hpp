@@ -2,7 +2,6 @@
 
 #include <cstdint>
 #include <limits>
-#include <memory>
 #include <vector>
 
 #include "core/arena.hpp"
@@ -38,8 +37,6 @@ namespace f2t::transport {
 /// refuses): gray faults (per-packet RNG needs packets), probe/BFD
 /// detection (hello timing would interleave with probe serialization),
 /// and TCP (window dynamics are inherently per-packet).
-class FluidFlowTable;
-
 class FluidProbe {
  public:
   struct Options {
@@ -74,7 +71,6 @@ class FluidProbe {
   /// injected (channel logs must be complete).
   FluidProbe(net::Network& network, const net::Host& src,
              const net::Host& dst, const Options& options);
-  ~FluidProbe();
 
   FluidProbe(const FluidProbe&) = delete;
   FluidProbe& operator=(const FluidProbe&) = delete;
@@ -92,12 +88,11 @@ class FluidProbe {
 
   const Stats& stats() const { return stats_; }
 
-  /// The max-min rate table the probe registers its live path with (one
-  /// flow here; shared when several fluid workloads run on one network).
-  FluidFlowTable& flows() { return *flows_; }
-
-  /// The probe flow's current max-min rate share in bits per second.
-  double probe_rate_bps();
+  /// The probe flow's current max-min rate share in bits per second. The
+  /// probe is the only flow, so water-filling gives its CBR demand capped
+  /// by the slowest channel of the current path, or 0 while the path does
+  /// not deliver.
+  double probe_rate_bps() const;
 
  private:
   /// One resolved hop of a send's path. `enqueue` is absolute in pending
@@ -158,7 +153,6 @@ class FluidProbe {
   sim::Time regime_decision_offset() const;
   void partition_sends(sim::Time now);
   void advance_pending(std::uint32_t pending_idx, sim::Time now);
-  void sync_flow_path();
   bool channel_clean(std::uint32_t channel) const;
   bool hop_open(std::uint32_t channel, sim::Time enqueue,
                 sim::Time flight) const;
@@ -191,9 +185,6 @@ class FluidProbe {
   std::vector<std::uint32_t> pending_scratch_;  ///< open-list snapshot
   std::vector<UdpSink::Arrival> arrivals_;
   bool finalized_ = false;
-
-  std::unique_ptr<FluidFlowTable> flows_;
-  std::uint32_t probe_flow_ = 0;
 
   Stats stats_;
 };

@@ -567,6 +567,59 @@ TEST(CampaignRun, SurvivabilitySweepProducesCurves) {
   EXPECT_EQ(pos.str().find("\"survivability\""), std::string::npos);
 }
 
+/// The SLO rollup on hand-built runs: pooled miss fractions weight each
+/// run by its deadline-bearing flow count, runs without the workload are
+/// skipped, and no SLO run gives zeros.
+TEST(CampaignAggregate, SloPoolsMissFractionsOverWorkloadRuns) {
+  const auto run = [](bool slo, std::size_t flows, double p99,
+                      std::size_t dl_in, double miss_in, std::size_t dl_out,
+                      double miss_out) {
+    core::ShardResult r;
+    r.slo = slo;
+    r.slo_flows = flows;
+    r.slo_completed = flows - 1;
+    r.fct_p50_ms = p99 / 2;
+    r.fct_p99_ms = p99;
+    r.fct_p999_ms = p99 * 2;
+    r.slo_deadline_in = dl_in;
+    r.slo_miss_in = miss_in;
+    r.slo_deadline_out = dl_out;
+    r.slo_miss_out = miss_out;
+    return r;
+  };
+  const core::ShardResult skipped = run(false, 1000, 100, 1000, 1, 1000, 1);
+  const auto a = core::aggregate_slo({run(true, 10, 4, 10, 0.5, 30, 0.1),
+                                      skipped,
+                                      run(true, 100, 6, 90, 0.1, 10, 0.5)});
+  EXPECT_EQ(a.runs, 2);
+  EXPECT_EQ(a.flows, 110u);
+  EXPECT_EQ(a.completed, 108u);
+  EXPECT_DOUBLE_EQ(a.fct_p50_ms_mean, 2.5);
+  EXPECT_DOUBLE_EQ(a.fct_p99_ms_mean, 5.0);
+  EXPECT_DOUBLE_EQ(a.fct_p999_ms_mean, 10.0);
+  EXPECT_DOUBLE_EQ(a.fct_p99_ms_max, 6.0);
+  EXPECT_DOUBLE_EQ(a.fct_p999_ms_max, 12.0);
+  EXPECT_EQ(a.deadline_flows_in, 100u);
+  EXPECT_EQ(a.deadline_flows_out, 40u);
+  // (0.5 · 10 + 0.1 · 90) / 100 and (0.1 · 30 + 0.5 · 10) / 40, not the
+  // unweighted 0.3 of each.
+  EXPECT_DOUBLE_EQ(a.miss_in, 0.14);
+  EXPECT_DOUBLE_EQ(a.miss_out, 0.2);
+
+  for (const auto& runs : {std::vector<core::ShardResult>{},
+                           std::vector<core::ShardResult>{skipped}}) {
+    const auto none = core::aggregate_slo(runs);
+    EXPECT_EQ(none.runs, 0);
+    EXPECT_EQ(none.flows, 0u);
+    EXPECT_EQ(none.completed, 0u);
+    EXPECT_EQ(none.fct_p99_ms_mean, 0.0);
+    EXPECT_EQ(none.fct_p999_ms_max, 0.0);
+    EXPECT_EQ(none.deadline_flows_in, 0u);
+    EXPECT_EQ(none.miss_in, 0.0);
+    EXPECT_EQ(none.miss_out, 0.0);
+  }
+}
+
 TEST(CampaignSpec, SurvivabilitySpecRejectsBadArguments) {
   EXPECT_THROW(core::survivability_spec({}, 8), std::invalid_argument);
   EXPECT_THROW(core::survivability_spec(

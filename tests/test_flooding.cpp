@@ -40,9 +40,9 @@ TEST(Flooding, SelfLsaDeduplicatesParallelRingLinks) {
   auto* agg = bed.topo().aggs.front();
   const auto lsa = bed.ospf_of(*agg).make_self_lsa();
   std::set<net::Ipv4Addr> unique;
-  for (const auto& l : lsa->links) {
-    EXPECT_TRUE(unique.insert(l.neighbor).second)
-        << "duplicate adjacency to " << l.neighbor.str();
+  for (const net::Ipv4Addr peer : lsa->links) {
+    EXPECT_TRUE(unique.insert(peer).second)
+        << "duplicate adjacency to " << peer.str();
   }
   // And the FIB's static backups still use two distinct ports.
   const auto r16 = agg->fib().find(net::Prefix::parse("10.11.0.0/16"),

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "core/runner.hpp"
@@ -163,6 +164,38 @@ TEST(FluidRunner, FlowModeExecutesFarFewerEvents) {
   // The whole point: no per-packet events on the fluid path.
   EXPECT_LT(flow.observation.profile.events_executed * 10,
             packet.observation.profile.events_executed);
+}
+
+/// The sampled probe rate is the probe's CBR demand while the routing
+/// state delivers it and 0 while it does not. A fat tree has no backup
+/// route for C1, so under OSPF the path ends in no route from detection
+/// until the SPF install: zeros, all inside the connectivity gap.
+TEST(FluidRunner, SampledProbeRateIsDemandOrZero) {
+  auto knobs = flow_knobs();
+  knobs.config.sample_interval = sim::millis(5);
+  const auto r = core::run_udp_condition(core::topology_builder("fat", 8),
+                                         failure::Condition::kC1, knobs);
+  ASSERT_TRUE(r.ok);
+  const auto& samples = r.observation.samples;
+  const auto column = std::find(samples.series.begin(), samples.series.end(),
+                                "fluid.probe_rate_bps");
+  ASSERT_NE(column, samples.series.end());
+  const auto c = static_cast<std::size_t>(column - samples.series.begin());
+  const transport::FluidProbe::Options probe;
+  const double demand =
+      static_cast<double>(probe.payload_bytes + net::kUdpHeaderBytes) * 8.0 /
+      sim::to_seconds(probe.interval);
+  const sim::Time gap_end = knobs.fail_at + r.connectivity_loss;
+  std::size_t zeros = 0;
+  for (const auto& row : samples.rows) {
+    const double rate = row.values[c];
+    if (rate == 0.0 && row.at >= knobs.fail_at && row.at <= gap_end) {
+      ++zeros;
+    } else {
+      EXPECT_EQ(rate, demand) << "at " << row.at;
+    }
+  }
+  EXPECT_GT(zeros, 0u);
 }
 
 }  // namespace

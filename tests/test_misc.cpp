@@ -75,13 +75,14 @@ TEST(LsaDescribe, ShowsOriginAndContent) {
   routing::Lsa lsa;
   lsa.origin = net::Ipv4Addr(10, 12, 0, 1);
   lsa.sequence = 7;
-  lsa.links.push_back({net::Ipv4Addr(10, 11, 0, 1), 1});
+  lsa.links.push_back(net::Ipv4Addr(10, 11, 0, 1));
   lsa.prefixes.push_back(net::Prefix::parse("10.11.0.0/24"));
   const std::string s = lsa.describe();
   EXPECT_NE(s.find("10.12.0.1"), std::string::npos);
   EXPECT_NE(s.find("seq=7"), std::string::npos);
   EXPECT_NE(s.find("10.11.0.0/24"), std::string::npos);
-  EXPECT_GT(lsa.wire_size(), 64u);
+  // 64-byte header, 12 bytes per link, 8 per prefix.
+  EXPECT_EQ(lsa.wire_size(), 84u);
 }
 
 TEST(AddressPlan, MatchesPaperFig3d) {

@@ -5,6 +5,7 @@
 #include <random>
 #include <stdexcept>
 
+#include "reference_spf.hpp"
 #include "routing/spf.hpp"
 
 namespace f2t::routing {
@@ -12,16 +13,6 @@ namespace {
 
 using net::Ipv4Addr;
 using net::Prefix;
-
-LsaPtr make_lsa(Ipv4Addr origin, std::vector<Ipv4Addr> neighbors,
-                std::vector<Prefix> prefixes = {}, std::uint64_t seq = 1) {
-  auto lsa = std::make_shared<Lsa>();
-  lsa->origin = origin;
-  lsa->sequence = seq;
-  for (const auto& n : neighbors) lsa->links.push_back({n, 1});
-  lsa->prefixes = std::move(prefixes);
-  return lsa;
-}
 
 const Ipv4Addr A(10, 12, 0, 1);
 const Ipv4Addr B(10, 12, 1, 1);
@@ -134,54 +125,6 @@ TEST(Spf, ReachabilityProbe) {
   EXPECT_FALSE(lsdb_reachable(db, D, A));  // D->C edge fails two-way check
 }
 
-/// A seeded random link-state database: `n` routers, about one pair in
-/// eight linked, half of those links one-way, costs drawn from
-/// [min_cost, max_cost]. advertised[x][y] is x's cost to y, or -1 when x
-/// does not list y; the last router lists no one and no one lists it.
-struct RandomDb {
-  std::vector<Ipv4Addr> routers;
-  std::vector<std::vector<int>> advertised;
-  Lsdb db;
-  std::uint64_t sequence = 1;
-
-  RandomDb(std::mt19937& rng, int n, int min_cost, int max_cost)
-      : advertised(n, std::vector<int>(n, -1)) {
-    for (int i = 0; i < n; ++i) {
-      routers.push_back(Ipv4Addr(10, 12, static_cast<std::uint8_t>(i), 1));
-    }
-    const auto cost = [&] {
-      return min_cost + static_cast<int>(rng() % (max_cost - min_cost + 1));
-    };
-    for (int x = 0; x + 1 < n; ++x) {
-      for (int y = x + 1; y + 1 < n; ++y) {
-        if (rng() % 8 != 0) continue;
-        const int kind = static_cast<int>(rng() % 4);  // 0, 1: one-way
-        if (kind != 1) advertised[x][y] = cost();
-        if (kind != 0) advertised[y][x] = cost();
-      }
-    }
-    for (int x = 0; x < n; ++x) readvertise(x);
-  }
-
-  int size() const { return static_cast<int>(routers.size()); }
-  bool two_way(int x, int y) const {
-    return advertised[x][y] >= 0 && advertised[y][x] >= 0;
-  }
-
-  /// Floods x's current links as a newer LSA.
-  void readvertise(int x) {
-    auto lsa = std::make_shared<Lsa>();
-    lsa->origin = routers[x];
-    lsa->sequence = sequence++;
-    for (int y = 0; y < size(); ++y) {
-      if (advertised[x][y] >= 0) {
-        lsa->links.push_back({routers[y], advertised[x][y]});
-      }
-    }
-    db.consider(lsa);
-  }
-};
-
 std::vector<std::size_t> every_column(std::size_t width) {
   std::vector<std::size_t> columns(width);
   std::iota(columns.begin(), columns.end(), std::size_t{0});
@@ -189,21 +132,19 @@ std::vector<std::size_t> every_column(std::size_t width) {
 }
 
 /// reverse_spf_rows against Floyd–Warshall on seeded random link-state
-/// databases of 20–200 routers with costs 0–7, one-way links and one
-/// isolated router: every entry is the shortest distance over the two-way
-/// edges, an edge x→y costing x's advertised cost, or kUnreached. Above
-/// 64 routers a fill takes several 64-column passes, the last one
-/// partial. A fill of a shuffled subset of the columns over rows preset
-/// to a sentinel writes exactly the listed columns.
-TEST(ReverseSpfRows, MatchFloydWarshallOnRandomCosts) {
+/// databases of 20–200 routers with one-way links and one isolated
+/// router: every entry is the hop count over the two-way edges, or
+/// kUnreached. Above 64 routers a fill takes several 64-column passes,
+/// the last one partial. A fill of a shuffled subset of the columns over
+/// rows preset to a sentinel writes exactly the listed columns.
+TEST(ReverseSpfRows, MatchFloydWarshallOnRandomDatabases) {
   std::mt19937 rng(0x0D1A1);
   for (int trial = 0; trial < 40; ++trial) {
     const int n = 20 + static_cast<int>(rng() % 181);
     SCOPED_TRACE("trial " + std::to_string(trial) + ", " + std::to_string(n) +
                  " routers");
-    const RandomDb random(rng, n, 0, 7);
+    const RandomDb random(rng, n);
     const std::vector<Ipv4Addr>& routers = random.routers;
-    const std::vector<std::vector<int>>& advertised = random.advertised;
     const Lsdb& db = random.db;
 
     constexpr long kInf = 1L << 40;
@@ -211,9 +152,7 @@ TEST(ReverseSpfRows, MatchFloydWarshallOnRandomCosts) {
     for (int x = 0; x < n; ++x) {
       dist[x][x] = 0;
       for (int y = 0; y < n; ++y) {
-        if (advertised[x][y] >= 0 && advertised[y][x] >= 0) {
-          dist[x][y] = std::min<long>(dist[x][y], advertised[x][y]);
-        }
+        if (random.two_way(x, y)) dist[x][y] = 1;
       }
     }
     for (int k = 0; k < n; ++k) {
@@ -271,10 +210,10 @@ TEST(ReverseSpfRows, MatchFloydWarshallOnRandomCosts) {
 
 /// Property: stale_columns plus a refill of the columns it lists equals
 /// a fresh fill of every column, after seeded churn batches on random
-/// databases with costs 1–7 and one-way links: one link down, several
-/// down at once (among them every link of one router), one link up, and
-/// one pair down and back up (at a new cost) in one batch. Destinations
-/// are a random half of the routers, in shuffled order.
+/// databases with one-way links: one link down, several down at once
+/// (among them every link of one router), one link up, and one pair down
+/// and back up in one batch. Destinations are a random half of the
+/// routers, in shuffled order.
 TEST(StaleColumns, RefillEqualsFullFillUnderChurn) {
   std::mt19937 rng(0x57A1E);
   std::size_t refilled = 0;
@@ -284,7 +223,7 @@ TEST(StaleColumns, RefillEqualsFullFillUnderChurn) {
     const int n = 20 + static_cast<int>(rng() % 181);
     SCOPED_TRACE("trial " + std::to_string(trial) + ", " + std::to_string(n) +
                  " routers");
-    RandomDb random(rng, n, 1, 7);
+    RandomDb random(rng, n);
     const LinkStateGraph& g = random.db.graph();
     std::vector<RouterIndex> all;
     for (const Ipv4Addr r : random.routers) all.push_back(g.index_of(r));
@@ -309,19 +248,18 @@ TEST(StaleColumns, RefillEqualsFullFillUnderChurn) {
     };
     // Takes the pair down: one end or both stop listing the other.
     const auto unlink = [&](int x, int y) {
-      random.advertised[x][y] = -1;
+      random.advertised[x][y] = false;
       random.readvertise(x);
       if (pick(2) == 0) {
-        random.advertised[y][x] = -1;
+        random.advertised[y][x] = false;
         random.readvertise(y);
       }
     };
-    // Brings the pair up: each end lists the other, a missing direction
-    // at a random cost.
+    // Brings the pair up: each end lists the other.
     const auto link = [&](int x, int y) {
       for (const auto& [a, b] : {std::pair(x, y), std::pair(y, x)}) {
-        if (random.advertised[a][b] < 0) {
-          random.advertised[a][b] = 1 + pick(7);
+        if (!random.advertised[a][b]) {
+          random.advertised[a][b] = true;
           random.readvertise(a);
         }
       }
@@ -341,9 +279,9 @@ TEST(StaleColumns, RefillEqualsFullFillUnderChurn) {
         case 1: {  // every link of one router, and two more links, down
           const int r = pick(n);
           for (int z = 0; z < n; ++z) {
-            random.advertised[r][z] = -1;
-            if (random.advertised[z][r] >= 0) {
-              random.advertised[z][r] = -1;
+            random.advertised[r][z] = false;
+            if (random.advertised[z][r]) {
+              random.advertised[z][r] = false;
               random.readvertise(z);
             }
           }
@@ -357,11 +295,11 @@ TEST(StaleColumns, RefillEqualsFullFillUnderChurn) {
           if (!find_pair(false, x, y)) continue;
           link(x, y);
           break;
-        case 3:  // one pair down and back up, at a new cost
+        case 3:  // one pair down and back up
           if (!find_pair(true, x, y)) continue;
-          random.advertised[x][y] = -1;
+          random.advertised[x][y] = false;
           random.readvertise(x);
-          random.advertised[x][y] = 1 + pick(7);
+          random.advertised[x][y] = true;
           random.readvertise(x);
           break;
       }
@@ -435,9 +373,8 @@ TEST(StaleColumns, KeepColumnsWithAnotherTightHop) {
   EXPECT_TRUE(columns.empty());
 }
 
-/// Where the rule does not apply, every column is listed: a cost change,
-/// a cost-0 link, a log trimmed past `since`, a router without a row and
-/// rows of another shape.
+/// Where the rule does not apply, every column is listed: a log trimmed
+/// past `since`, a router without a row and rows of another shape.
 TEST(StaleColumns, FallbacksListEveryColumn) {
   const auto check = [](const char* what, auto&& change) {
     SCOPED_TRACE(what);
@@ -459,21 +396,6 @@ TEST(StaleColumns, FallbacksListEveryColumn) {
     EXPECT_EQ(columns, every_column(4));
   };
   using Routers = std::vector<RouterIndex>;
-  // A's LSA at sequence 2 with the given links.
-  const auto advertise_a = [](Lsdb& db, std::vector<LsaLink> links) {
-    auto lsa = std::make_shared<Lsa>();
-    lsa->origin = A;
-    lsa->sequence = 2;
-    lsa->links = std::move(links);
-    db.consider(lsa);
-  };
-  check("cost change", [&](Lsdb& db, Routers&, std::vector<int>&) {
-    advertise_a(db, {{B, 2}, {C, 1}});
-  });
-  check("cost-0 link", [&](Lsdb& db, Routers&, std::vector<int>&) {
-    advertise_a(db, {{B, 1}, {C, 1}, {D, 0}});
-    db.consider(make_lsa(D, {A, B, C}, {}, 2));
-  });
   check("trimmed log", [](Lsdb& db, Routers&, std::vector<int>&) {
     // A one-way link from A to D flaps: each flap is one kOriginOnly
     // event, which alone would move no column.
@@ -491,21 +413,6 @@ TEST(StaleColumns, FallbacksListEveryColumn) {
   check("rows of another shape", [](Lsdb&, Routers&, std::vector<int>& rows) {
     rows.pop_back();
   });
-}
-
-TEST(ReverseSpfRows, RejectNegativeCost) {
-  auto a = std::make_shared<Lsa>();
-  a->origin = A;
-  a->sequence = 1;
-  a->links.push_back({B, -1});
-  Lsdb db;
-  db.consider(a);
-  db.consider(make_lsa(B, {A}));
-  const LinkStateGraph& g = db.graph();
-  const std::vector<RouterIndex> routers{g.index_of(A), g.index_of(B)};
-  std::vector<int> rows;
-  EXPECT_THROW(reverse_spf_rows(g, routers, {g.index_of(B)}, {0}, rows),
-               std::invalid_argument);
 }
 
 /// Distances are written into each router's row as the router is reached,

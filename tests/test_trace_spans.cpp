@@ -12,10 +12,10 @@ namespace f2t {
 namespace {
 
 // Builds the synthetic journal the Timeline tests use, extended with
-// flood and incremental-SPF events so every chain stage is present:
-// steady deliveries, a cut at 100 ms, detection at 160 ms, backup at
-// 161 ms, flood 200..210 ms, SPF (one full + one incremental) 360..365,
-// FIB install at 370 ms, deliveries resuming at 162 ms.
+// flood and SPF events so every chain stage is present: steady
+// deliveries, a cut at 100 ms, detection at 160 ms, backup at 161 ms,
+// flood 200..210 ms, two SPF runs at 360 and 365 ms, FIB install at
+// 370 ms, deliveries resuming at 162 ms.
 std::vector<obs::Event> synthetic_recovery_journal() {
   std::vector<obs::Event> events;
   const auto push = [&events](sim::Time at, obs::EventType type) {
@@ -43,7 +43,7 @@ std::vector<obs::Event> synthetic_recovery_journal() {
   push(sim::millis(205), obs::EventType::kLsaAccepted);
   push(sim::millis(210), obs::EventType::kLsaAccepted);
   push(sim::millis(360), obs::EventType::kSpfRun);
-  push(sim::millis(365), obs::EventType::kSpfRunIncremental);
+  push(sim::millis(365), obs::EventType::kSpfRun);
   push(sim::millis(370), obs::EventType::kFibInstall);
   for (sim::Time t = sim::millis(162); t <= sim::millis(400);
        t += sim::millis(1)) {
@@ -99,12 +99,10 @@ TEST(SpanTrace, SyntheticJournalYieldsCompleteParentLinkedChain) {
   EXPECT_EQ(root->begin, f.failed_at);
   EXPECT_EQ(root->end, f.converged_at);  // latest milestone here
 
-  // Folded counts: one cut link, one full + one incremental SPF, three
-  // flood events.
+  // Folded counts: one cut link, two SPF runs, three flood events.
   EXPECT_EQ(down->count, 1u);
   EXPECT_EQ(flood->count, 3u);
-  EXPECT_EQ(spf->count, 1u);
-  EXPECT_EQ(spf->count_incremental, 1u);
+  EXPECT_EQ(spf->count, 2u);
   EXPECT_FALSE(detect->bfd);
 }
 
@@ -221,6 +219,10 @@ TEST(SpanTrace, ChromeExportIsValidTraceEventJson) {
       EXPECT_GE(ev.at("ts").as_double(), 0.0);
       // The wall estimate rides along when the profile knows a rate.
       EXPECT_NE(ev.at("args").find("wall_est_us"), nullptr);
+      // The SPF span counts its runs like every other stage.
+      if (ev.at("name").as_string() == "spf_run") {
+        EXPECT_EQ(ev.at("args").at("count").as_int(), 2);
+      }
     } else if (ph == "s") {
       ++flow_starts;
     } else if (ph == "f") {
@@ -240,10 +242,6 @@ TEST(SpanTrace, ChromeExportIsValidTraceEventJson) {
         "thread_name", "causal"}) {
     EXPECT_TRUE(names.count(expected)) << expected;
   }
-
-  // SPF span args distinguish full from incremental runs.
-  EXPECT_NE(os.str().find("\"full\": 1, \"incremental\": 1"),
-            std::string::npos);
 }
 
 }  // namespace

@@ -439,40 +439,15 @@ int cmd_campaign(core::Cli& cli) {
     surv.print(std::cout);
   }
   if (spec.workload.enabled) {
-    // Pooled SLO summary over the shards that carried the workload —
-    // the same arithmetic as the artifact's "slo" section.
-    int slo_runs = 0;
-    std::size_t flows = 0;
-    std::size_t completed = 0;
-    std::size_t dl_in = 0;
-    std::size_t dl_out = 0;
-    double missed_in = 0;
-    double missed_out = 0;
-    double p99_sum = 0;
-    double p999_max = 0;
-    for (const auto& r : result.runs) {
-      if (!r.slo) continue;
-      ++slo_runs;
-      flows += r.slo_flows;
-      completed += r.slo_completed;
-      dl_in += r.slo_deadline_in;
-      dl_out += r.slo_deadline_out;
-      missed_in += r.slo_miss_in * static_cast<double>(r.slo_deadline_in);
-      missed_out += r.slo_miss_out * static_cast<double>(r.slo_deadline_out);
-      p99_sum += r.fct_p99_ms;
-      p999_max = std::max(p999_max, r.fct_p999_ms);
-    }
+    const core::SloAggregate a = core::aggregate_slo(result.runs);
     stats::Table slo({"slo runs", "flows", "completed", "fct p99 ms mean",
                       "fct p999 ms max", "miss in-window", "miss outside"});
-    slo.row({std::to_string(slo_runs), std::to_string(flows),
-             std::to_string(completed),
-             stats::Table::num(slo_runs > 0 ? p99_sum / slo_runs : 0, 3),
-             stats::Table::num(p999_max, 3),
-             stats::Table::percent(
-                 dl_in > 0 ? missed_in / static_cast<double>(dl_in) : 0, 3),
-             stats::Table::percent(
-                 dl_out > 0 ? missed_out / static_cast<double>(dl_out) : 0,
-                 3)});
+    slo.row({std::to_string(a.runs), std::to_string(a.flows),
+             std::to_string(a.completed),
+             stats::Table::num(a.fct_p99_ms_mean, 3),
+             stats::Table::num(a.fct_p999_ms_max, 3),
+             stats::Table::percent(a.miss_in, 3),
+             stats::Table::percent(a.miss_out, 3)});
     slo.print(std::cout);
   }
   std::cout << result.runs.size() << " shards, ";
