@@ -30,42 +30,49 @@ int main(int argc, char** argv) {
   });
   bed.converge();
 
-  transport::PartitionAggregateOptions pa;
-  pa.start = sim::seconds(1);
-  pa.stop = sim::seconds(1 + seconds);
-  pa.mean_interarrival = sim::millis(200);
-  transport::PartitionAggregateApp app(bed.stacks(), sim::Random(11), pa);
-  app.start();
+  const sim::Time stop = sim::seconds(1 + seconds);
+  auto request_options = transport::WorkloadOptions::fig6_requests();
+  request_options.start = sim::seconds(1);
+  request_options.stop = stop;
+  transport::TcpWorkload requests(bed.stacks(), sim::Random(11),
+                                  request_options);
+  requests.start();
 
-  transport::BackgroundTrafficOptions bg;
-  bg.start = sim::seconds(1);
-  bg.stop = pa.stop;
-  transport::BackgroundTraffic background(bed.stacks(), sim::Random(12), bg);
+  auto background_options = transport::WorkloadOptions::fig6_background();
+  background_options.start = sim::seconds(1);
+  background_options.stop = stop;
+  transport::TcpWorkload background(bed.stacks(), sim::Random(12),
+                                    background_options);
   background.start();
 
   failure::RandomFailureOptions rf;
   rf.start = sim::seconds(2);
-  rf.stop = pa.stop;
+  rf.stop = stop;
   rf.max_concurrent = concurrent;
   rf.interarrival_median_s = concurrent > 1 ? 5.0 : 12.0;
   failure::RandomFailureGenerator failures(bed.injector(), sim::Random(13),
                                            rf);
   failures.start();
 
-  bed.sim().run(pa.stop + sim::seconds(20));
+  const sim::Time horizon = stop + sim::seconds(20);
+  bed.sim().run(horizon);
 
   stats::Cdf cdf;
-  for (const auto t : app.completion_times()) cdf.add(sim::to_millis(t));
+  for (const auto& r : requests.samples()) {
+    if (r.finish != sim::kNever) cdf.add(sim::to_millis(r.finish - r.start));
+  }
 
-  std::cout << "requests issued:      " << app.issued_count() << "\n"
-            << "requests completed:   " << app.completed_count() << "\n"
+  std::cout << "requests issued:      " << requests.launched() << "\n"
+            << "requests completed:   " << requests.completed() << "\n"
             << "failures injected:    " << failures.failures_injected()
             << "\n"
-            << "background flows:     " << background.flows().size() << " ("
-            << background.completed_count() << " completed)\n"
+            << "background flows:     " << background.launched() << " ("
+            << background.completed() << " completed)\n"
             << "deadline (250 ms) missed: "
             << stats::Table::percent(
-                   app.deadline_miss_ratio(pa.stop + sim::seconds(20)), 3)
+                   stats::compute_slo(requests.samples(), 0, 0, horizon)
+                       .miss_out_window,
+                   3)
             << "\n";
   if (!cdf.empty()) {
     std::cout << "completion time: median "

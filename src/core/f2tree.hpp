@@ -23,6 +23,5 @@
 #include "topo/leafspine.hpp"
 #include "topo/validate.hpp"
 #include "topo/vl2.hpp"
-#include "transport/background.hpp"
-#include "transport/partition_aggregate.hpp"
 #include "transport/udp_app.hpp"
+#include "transport/workload.hpp"

@@ -23,35 +23,12 @@ void Histogram::observe(double v) {
   sum_ += v;
 }
 
-void MetricsRegistry::ensure_unused(const std::string& name,
-                                    const char* kind) const {
-  const bool taken = (kind[0] != 'c' && counters_.contains(name)) ||
-                     (kind[0] != 'g' && gauges_.contains(name)) ||
-                     (kind[0] != 'h' && histograms_.contains(name)) ||
-                     (kind[0] != 'p' && probes_.contains(name));
-  if (taken) {
+Histogram& MetricsRegistry::histogram(const std::string& name,
+                                      std::vector<double> bounds) {
+  if (probes_.contains(name)) {
     throw std::invalid_argument("MetricsRegistry: '" + name +
                                 "' already registered with another kind");
   }
-}
-
-Counter& MetricsRegistry::counter(const std::string& name) {
-  ensure_unused(name, "counter");
-  auto& slot = counters_[name];
-  if (!slot) slot = std::make_unique<Counter>();
-  return *slot;
-}
-
-Gauge& MetricsRegistry::gauge(const std::string& name) {
-  ensure_unused(name, "gauge");
-  auto& slot = gauges_[name];
-  if (!slot) slot = std::make_unique<Gauge>();
-  return *slot;
-}
-
-Histogram& MetricsRegistry::histogram(const std::string& name,
-                                      std::vector<double> bounds) {
-  ensure_unused(name, "histogram");
   auto& slot = histograms_[name];
   if (!slot) slot = std::make_unique<Histogram>(std::move(bounds));
   return *slot;
@@ -59,7 +36,10 @@ Histogram& MetricsRegistry::histogram(const std::string& name,
 
 void MetricsRegistry::register_probe(const std::string& name,
                                      std::function<double()> probe) {
-  ensure_unused(name, "probe");
+  if (histograms_.contains(name)) {
+    throw std::invalid_argument("MetricsRegistry: '" + name +
+                                "' already registered with another kind");
+  }
   if (!probe) throw std::invalid_argument("MetricsRegistry: null probe");
   probes_[name] = std::move(probe);
 }
@@ -67,13 +47,6 @@ void MetricsRegistry::register_probe(const std::string& name,
 MetricsSnapshot MetricsRegistry::snapshot(sim::Time at) const {
   MetricsSnapshot snap;
   snap.at = at;
-  for (const auto& [name, c] : counters_) {
-    snap.samples.push_back(
-        {name, "counter", static_cast<double>(c->value())});
-  }
-  for (const auto& [name, g] : gauges_) {
-    snap.samples.push_back({name, "gauge", g->value()});
-  }
   for (const auto& [name, probe] : probes_) {
     snap.samples.push_back({name, "probe", probe()});
   }

@@ -12,28 +12,6 @@
 
 namespace f2t::obs {
 
-/// Monotone counter. Components hold a reference obtained from the
-/// registry and bump it on their hot paths; reading happens only at
-/// snapshot time.
-class Counter {
- public:
-  void inc(std::uint64_t n = 1) { value_ += n; }
-  std::uint64_t value() const { return value_; }
-
- private:
-  std::uint64_t value_ = 0;
-};
-
-/// Last-value gauge (occupancy, sizes, ratios).
-class Gauge {
- public:
-  void set(double v) { value_ = v; }
-  double value() const { return value_; }
-
- private:
-  double value_ = 0;
-};
-
 /// Fixed-bucket histogram: `bounds` are the inclusive upper edges of the
 /// finite buckets; one implicit overflow bucket catches the rest.
 class Histogram {
@@ -62,7 +40,7 @@ struct MetricsSnapshot {
 
   struct Sample {
     std::string name;
-    std::string kind;  ///< "counter" | "gauge" | "probe"
+    std::string kind;  ///< "probe"
     double value = 0;
   };
   struct HistogramSample {
@@ -86,11 +64,11 @@ struct MetricsSnapshot {
 };
 
 /// Named instruments registered by components, snapshotable at any sim
-/// time. Names are unique across kinds; re-requesting an existing name
-/// with the same kind returns the same instrument (so independent
-/// attach sites can share a counter), a different kind throws.
+/// time. Names are unique across kinds; re-requesting an existing
+/// histogram returns the same one (so independent attach sites can share
+/// it), a name taken by the other kind throws.
 ///
-/// Instruments are stored behind stable pointers: references handed out
+/// Histograms are stored behind stable pointers: references handed out
 /// stay valid for the registry's lifetime regardless of later
 /// registrations. `register_probe` adds a pull-style gauge sampled only
 /// at snapshot time — the zero-overhead way to export the per-component
@@ -98,24 +76,15 @@ struct MetricsSnapshot {
 /// Ospf::Counters, DropTailQueue accounting, TCP stats).
 class MetricsRegistry {
  public:
-  Counter& counter(const std::string& name);
-  Gauge& gauge(const std::string& name);
   Histogram& histogram(const std::string& name, std::vector<double> bounds);
   void register_probe(const std::string& name, std::function<double()> probe);
 
   MetricsSnapshot snapshot(sim::Time at) const;
 
-  std::size_t size() const {
-    return counters_.size() + gauges_.size() + histograms_.size() +
-           probes_.size();
-  }
+  std::size_t size() const { return histograms_.size() + probes_.size(); }
 
  private:
-  void ensure_unused(const std::string& name, const char* kind) const;
-
   // std::map keeps snapshots deterministically sorted by name.
-  std::map<std::string, std::unique_ptr<Counter>> counters_;
-  std::map<std::string, std::unique_ptr<Gauge>> gauges_;
   std::map<std::string, std::unique_ptr<Histogram>> histograms_;
   std::map<std::string, std::function<double()>> probes_;
 };

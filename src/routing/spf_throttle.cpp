@@ -20,6 +20,7 @@ sim::Time SpfThrottle::schedule(sim::Time now) {
   }
   const sim::Time when =
       std::max(now + config_.initial_delay, last_run_ + hold_);
+  longest_wait_ = std::max(longest_wait_, when - now);
   // Back off per scheduled *run*, not per trigger: a burst of LSAs that
   // coalesces into one pending SPF must cost exactly one doubling, or a
   // single failure's flood inflates every later recovery (Cisco-style

@@ -43,6 +43,8 @@ class SpfThrottle {
   }
 
   sim::Time current_hold() const { return hold_; }
+  /// The longest wait any schedule() has imposed (run time minus now).
+  sim::Time longest_wait() const { return longest_wait_; }
   /// True between a schedule() and the ran() that retires it.
   bool pending() const { return pending_; }
   const SpfThrottleConfig& config() const { return config_; }
@@ -51,6 +53,7 @@ class SpfThrottle {
   SpfThrottleConfig config_;
   sim::Time hold_;
   sim::Time last_run_;
+  sim::Time longest_wait_ = 0;
   bool pending_ = false;
 };
 

@@ -56,14 +56,6 @@ Time lognormal_interval(Random& rng, double median_s, double sigma,
   return std::max<Time>(from_seconds(gap_s), floor);
 }
 
-std::uint64_t lognormal_bytes(Random& rng, double median_bytes, double sigma,
-                              std::uint64_t lo, std::uint64_t hi) {
-  const double bytes = rng.lognormal_median(median_bytes, sigma);
-  if (!(bytes >= static_cast<double>(lo))) return lo;  // also catches NaN
-  if (bytes >= static_cast<double>(hi)) return hi;
-  return static_cast<std::uint64_t>(bytes);
-}
-
 std::uint64_t Random::derive_stream_seed(std::uint64_t root_seed,
                                          std::uint64_t stream_id) {
   // SplitMix64 with random access: the stream_id-th state is root +

@@ -77,19 +77,13 @@ class Random {
 };
 
 /// The DCN-measurement draw shape shared by every log-normal event
-/// process in the simulator (background flow interarrivals, random
-/// failure interarrivals and durations): sample a log-normal by median
-/// and sigma, convert seconds to simulation time, and clamp below by a
+/// process in the simulator (workload arrival gaps, random failure
+/// interarrivals and durations): sample a log-normal by median and
+/// sigma, convert seconds to simulation time, and clamp below by a
 /// process-specific floor so a deep-left-tail draw cannot collapse the
 /// event loop into a zero-delay spin. One draw from `rng`, bit-identical
 /// to calling rng.lognormal_median directly (pinned by test_stats.cpp).
 Time lognormal_interval(Random& rng, double median_s, double sigma,
                         Time floor);
-
-/// Companion size draw: log-normal bytes clamped into [lo, hi] — the
-/// body/tail clamp background traffic applies to flow sizes. Also one
-/// draw, identical to the direct call.
-std::uint64_t lognormal_bytes(Random& rng, double median_bytes, double sigma,
-                              std::uint64_t lo, std::uint64_t hi);
 
 }  // namespace f2t::sim

@@ -127,12 +127,11 @@ TEST(Determinism, IdenticalSeedsGiveIdenticalRuns) {
     core::Testbed bed(
         [](net::Network& n) { return topo::build_f2tree(n, 8); }, config);
     bed.converge();
-    transport::PartitionAggregateOptions pa;
+    auto pa = transport::WorkloadOptions::fig6_requests();
     pa.stop = sim::seconds(20);
-    pa.mean_interarrival = sim::millis(100);
-    transport::PartitionAggregateApp app(bed.stacks(), sim::Random(seed),
-                                         pa);
-    app.start();
+    pa.interarrival = sim::millis(100);
+    transport::TcpWorkload requests(bed.stacks(), sim::Random(seed), pa);
+    requests.start();
     failure::RandomFailureOptions rf;
     rf.start = sim::seconds(1);
     rf.stop = sim::seconds(20);
@@ -142,7 +141,7 @@ TEST(Determinism, IdenticalSeedsGiveIdenticalRuns) {
     gen.start();
     bed.sim().run(sim::seconds(30));
     // Fingerprint: total completions, event count, injector history.
-    std::uint64_t fp = app.completed_count();
+    std::uint64_t fp = requests.completed();
     fp = fp * 1000003 + bed.sim().scheduler().executed_count();
     for (const auto& e : bed.injector().history()) {
       fp = fp * 1000003 + static_cast<std::uint64_t>(e.at) + e.link;

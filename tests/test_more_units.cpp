@@ -187,21 +187,25 @@ TEST(DeadlineAccounting, OutstandingRequestsCountAsMissedAfterDeadline) {
   // must be counted as missed once the deadline passes.
   core::Testbed bed([](net::Network& n) { return topo::build_f2tree(n, 8); });
   bed.converge();
-  transport::PartitionAggregateOptions opts;
+  auto opts = transport::WorkloadOptions::fig6_requests();
   opts.start = sim::millis(10);
   opts.stop = sim::millis(400);
-  opts.mean_interarrival = sim::millis(50);
-  transport::PartitionAggregateApp app(bed.stacks(), sim::Random(4), opts);
-  app.start();
+  opts.interarrival = sim::millis(50);
+  transport::TcpWorkload requests(bed.stacks(), sim::Random(4), opts);
+  requests.start();
   for (auto* link : bed.network().links()) {
     bed.injector().fail_at(*link, sim::millis(5));
   }
   bed.sim().run(sim::seconds(2));
-  EXPECT_GT(app.issued_count(), 0u);
-  EXPECT_EQ(app.completed_count(), 0u);
-  EXPECT_DOUBLE_EQ(app.deadline_miss_ratio(sim::seconds(2)), 1.0);
+  const auto miss = [&requests](sim::Time horizon) {
+    return stats::compute_slo(requests.samples(), 0, 0, horizon)
+        .miss_out_window;
+  };
+  EXPECT_GT(requests.launched(), 0u);
+  EXPECT_EQ(requests.completed(), 0u);
+  EXPECT_DOUBLE_EQ(miss(sim::seconds(2)), 1.0);
   // Requests younger than the deadline are not yet judged.
-  EXPECT_LT(app.deadline_miss_ratio(sim::millis(100)), 1.0);
+  EXPECT_LT(miss(sim::millis(100)), 1.0);
 }
 
 }  // namespace

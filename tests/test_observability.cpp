@@ -14,12 +14,8 @@ namespace {
 
 // ---------------------------------------------------------------- metrics
 
-TEST(Metrics, CounterGaugeHistogramRoundTrip) {
+TEST(Metrics, HistogramRoundTrip) {
   obs::MetricsRegistry registry;
-  obs::Counter& c = registry.counter("a.count");
-  c.inc();
-  c.inc(4);
-  registry.gauge("a.gauge").set(2.5);
   obs::Histogram& h = registry.histogram("a.hist", {1, 10, 100});
   h.observe(0.5);
   h.observe(50);
@@ -27,8 +23,6 @@ TEST(Metrics, CounterGaugeHistogramRoundTrip) {
 
   const auto snap = registry.snapshot(sim::millis(7));
   EXPECT_EQ(snap.at, sim::millis(7));
-  EXPECT_DOUBLE_EQ(snap.value_of("a.count"), 5.0);
-  EXPECT_DOUBLE_EQ(snap.value_of("a.gauge"), 2.5);
   EXPECT_DOUBLE_EQ(snap.value_of("missing"), -1.0);
   ASSERT_EQ(snap.histograms.size(), 1u);
   EXPECT_EQ(snap.histograms[0].count, 3u);
@@ -40,12 +34,14 @@ TEST(Metrics, CounterGaugeHistogramRoundTrip) {
 
 TEST(Metrics, SameNameSameKindIsShared) {
   obs::MetricsRegistry registry;
-  registry.counter("shared").inc();
-  registry.counter("shared").inc();
-  EXPECT_EQ(registry.counter("shared").value(), 2u);
+  registry.histogram("shared", {1.0}).observe(0.5);
+  registry.histogram("shared", {1.0}).observe(0.5);
+  EXPECT_EQ(registry.histogram("shared", {1.0}).count(), 2u);
   // Same name, different kind: loud failure, not silent shadowing.
-  EXPECT_THROW(registry.gauge("shared"), std::invalid_argument);
-  EXPECT_THROW(registry.histogram("shared", {1.0}), std::invalid_argument);
+  EXPECT_THROW(registry.register_probe("shared", [] { return 0.0; }),
+               std::invalid_argument);
+  registry.register_probe("p", [] { return 1.0; });
+  EXPECT_THROW(registry.histogram("p", {1.0}), std::invalid_argument);
 }
 
 TEST(Metrics, ProbesAreSampledAtSnapshotTime) {
@@ -59,7 +55,7 @@ TEST(Metrics, ProbesAreSampledAtSnapshotTime) {
 
 TEST(Metrics, JsonIsSchemaVersioned) {
   obs::MetricsRegistry registry;
-  registry.counter("x").inc();
+  registry.register_probe("x", [] { return 1.0; });
   registry.histogram("h", {1}).observe(2);
   std::ostringstream os;
   registry.snapshot(sim::millis(3)).write_json(os);

@@ -86,6 +86,27 @@ TEST(SpfThrottle, QuietPeriodResetsBackoff) {
   EXPECT_EQ(when, now + sim::millis(200));
 }
 
+// The hold is what the next run will cost; the wait is what a run did
+// cost. Under churn the longest wait is the figure Fig 6 quotes (~9 s).
+TEST(SpfThrottle, LongestWaitTracksTheSlowestScheduledRun) {
+  SpfThrottle t;
+  EXPECT_EQ(t.longest_wait(), 0);
+  sim::Time now = sim::seconds(10);
+  sim::Time slowest = 0;
+  for (int i = 0; i < 8; ++i) {
+    const sim::Time when = t.schedule(now);
+    slowest = std::max(slowest, when - now);
+    t.ran(when);
+    now = when + sim::millis(1);
+  }
+  EXPECT_EQ(t.longest_wait(), slowest);
+  EXPECT_GT(t.longest_wait(), sim::seconds(5));
+  // A quiet period resets the hold, not the record of the longest wait.
+  const sim::Time when = t.schedule(now + sim::seconds(100));
+  EXPECT_EQ(when - (now + sim::seconds(100)), sim::millis(200));
+  EXPECT_EQ(t.longest_wait(), slowest);
+}
+
 TEST(SpfThrottle, RejectsBadConfig) {
   SpfThrottleConfig bad;
   bad.max_wait = sim::millis(10);  // < initial_delay

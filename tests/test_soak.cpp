@@ -23,18 +23,18 @@ TEST_P(ChurnSoak, InvariantsHoldThroughChurn) {
   core::Testbed bed(core::topology_builder(GetParam(), 8));
   bed.converge();
 
-  transport::PartitionAggregateOptions pa;
+  auto pa = transport::WorkloadOptions::fig6_requests();
   pa.start = sim::seconds(1);
   pa.stop = sim::seconds(121);
-  pa.mean_interarrival = sim::millis(250);
-  transport::PartitionAggregateApp app(bed.stacks(), sim::Random(91), pa);
-  app.start();
+  pa.interarrival = sim::millis(250);
+  transport::TcpWorkload requests(bed.stacks(), sim::Random(91), pa);
+  requests.start();
 
-  transport::BackgroundTrafficOptions bg;
+  auto bg = transport::WorkloadOptions::fig6_background();
   bg.start = sim::seconds(1);
   bg.stop = pa.stop;
-  bg.interarrival_median_s = 0.5;
-  transport::BackgroundTraffic background(bed.stacks(), sim::Random(92), bg);
+  bg.interarrival = sim::millis(500);
+  transport::TcpWorkload background(bed.stacks(), sim::Random(92), bg);
   background.start();
 
   failure::RandomFailureOptions rf;
@@ -54,8 +54,10 @@ TEST_P(ChurnSoak, InvariantsHoldThroughChurn) {
   EXPECT_EQ(bed.injector().active_failures(), 0);
 
   // Everything completed once the network healed.
-  EXPECT_EQ(app.completed_count(), app.issued_count());
-  EXPECT_EQ(background.completed_count(), background.flows().size());
+  EXPECT_EQ(requests.completed(), requests.launched());
+  EXPECT_EQ(background.completed(), background.launched());
+  EXPECT_EQ(requests.active_count(), 0u);
+  EXPECT_EQ(background.active_count(), 0u);
 
   // The control plane is consistent again: every switch's LSDB holds an
   // entry for every router, and routes to every rack exist everywhere.

@@ -275,11 +275,11 @@ TEST(Table, NumberFormatting) {
 
 // --------------------------------------------------- shared lognormal draws
 //
-// transport/background.cpp and failure/random_failures.cpp draw their
-// intervals and sizes through sim::lognormal_interval / lognormal_bytes.
-// The helpers must reproduce the direct draw sequence bit-for-bit —
-// otherwise consolidating the call sites would silently shift every
-// seeded workload and failure schedule.
+// TcpWorkload's log-normal arrival gaps and failure/random_failures.cpp
+// draw their intervals through sim::lognormal_interval. The helper must
+// reproduce the direct draw sequence bit-for-bit — otherwise
+// consolidating the call sites would silently shift every seeded
+// workload and failure schedule.
 
 TEST(LognormalHelpers, IntervalPinsDirectDrawSequence) {
   sim::Random helper(42);
@@ -290,25 +290,6 @@ TEST(LognormalHelpers, IntervalPinsDirectDrawSequence) {
         sim::millis(1));
     EXPECT_EQ(sim::lognormal_interval(helper, 0.05, 1.3, sim::millis(1)),
               expected);
-  }
-}
-
-TEST(LognormalHelpers, BytesPinsTruncateThenClampSequence) {
-  sim::Random helper(7);
-  sim::Random direct(7);
-  const std::uint64_t lo = 1;
-  const std::uint64_t hi = 1'000'000;
-  for (int i = 0; i < 64; ++i) {
-    const double raw = direct.lognormal_median(20e3, 1.8);
-    std::uint64_t expected;
-    if (!(raw >= static_cast<double>(lo))) {
-      expected = lo;
-    } else if (raw >= static_cast<double>(hi)) {
-      expected = hi;
-    } else {
-      expected = static_cast<std::uint64_t>(raw);  // trunc, not round
-    }
-    EXPECT_EQ(sim::lognormal_bytes(helper, 20e3, 1.8, lo, hi), expected);
   }
 }
 

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "core/f2tree.hpp"
 
 namespace f2t::transport {
@@ -10,22 +12,32 @@ core::Testbed make_f2_8() {
       [](net::Network& n) { return topo::build_f2tree(n, 8); });
 }
 
+/// Requests that missed the deadline by `horizon` (stats::compute_slo's
+/// rule: finished late, or still open past the deadline).
+double miss_ratio(const TcpWorkload& requests, sim::Time horizon) {
+  return stats::compute_slo(requests.samples(), 0, 0, horizon)
+      .miss_out_window;
+}
+
 TEST(PartitionAggregate, AllRequestsCompleteWithoutFailures) {
   auto bed = make_f2_8();
   bed.converge();
-  PartitionAggregateOptions opts;
+  auto opts = WorkloadOptions::fig6_requests();
   opts.stop = sim::seconds(20);
-  opts.mean_interarrival = sim::millis(100);
-  PartitionAggregateApp app(bed.stacks(), sim::Random(3), opts);
-  app.start();
+  opts.interarrival = sim::millis(100);
+  TcpWorkload requests(bed.stacks(), sim::Random(3), opts);
+  requests.start();
   bed.sim().run(sim::seconds(25));
 
-  EXPECT_GT(app.issued_count(), 100u);
-  EXPECT_EQ(app.completed_count(), app.issued_count());
-  EXPECT_DOUBLE_EQ(app.deadline_miss_ratio(sim::seconds(25)), 0.0);
+  EXPECT_GT(requests.launched(), 100u);
+  EXPECT_EQ(requests.completed(), requests.launched());
+  EXPECT_DOUBLE_EQ(miss_ratio(requests, sim::seconds(25)), 0.0);
   // Unloaded completion is a handful of RTTs, far below the deadline.
-  const auto times = app.completion_times();
-  EXPECT_LT(times.back(), sim::millis(50));
+  sim::Time slowest = 0;
+  for (const auto& r : requests.samples()) {
+    slowest = std::max(slowest, r.finish - r.start);
+  }
+  EXPECT_LT(slowest, sim::millis(50));
 }
 
 TEST(PartitionAggregate, SingleFailureCausesMissesInFatTreeOnly) {
@@ -39,11 +51,11 @@ TEST(PartitionAggregate, SingleFailureCausesMissesInFatTreeOnly) {
                 : topo::build_fat_tree(n, topo::FatTreeOptions{.ports = 8});
     });
     bed.converge();
-    PartitionAggregateOptions opts;
+    auto opts = WorkloadOptions::fig6_requests();
     opts.stop = sim::seconds(60);
-    opts.mean_interarrival = sim::millis(20);
-    PartitionAggregateApp app(bed.stacks(), sim::Random(17), opts);
-    app.start();
+    opts.interarrival = sim::millis(20);
+    TcpWorkload requests(bed.stacks(), sim::Random(17), opts);
+    requests.start();
     // Flap one agg->ToR downward link repeatedly: each fresh failure
     // reopens the recovery window (~270 ms in fat tree, ~60 ms in F²Tree)
     // that in-flight requests fall into.
@@ -55,7 +67,7 @@ TEST(PartitionAggregate, SingleFailureCausesMissesInFatTreeOnly) {
                               sim::seconds(2));
     }
     bed.sim().run(sim::seconds(70));
-    return app.deadline_miss_ratio(sim::seconds(70));
+    return miss_ratio(requests, sim::seconds(70));
   };
 
   const double fat_miss = run(false);
@@ -65,35 +77,48 @@ TEST(PartitionAggregate, SingleFailureCausesMissesInFatTreeOnly) {
 }
 
 TEST(PartitionAggregate, RejectsTooFewHosts) {
+  // TcpWorkload's rule for every kind: fewer than 2 hosts is an error,
+  // and a fan-in above hosts - 1 is capped, not rejected.
   sim::Simulator sim(1);
   net::Network net(sim);
   auto& sw = net.add_switch("sw", net::Ipv4Addr(10, 12, 0, 1));
   auto& h1 = net.add_host("h1", net::Ipv4Addr(10, 11, 0, 10), &sw);
+  auto& h2 = net.add_host("h2", net::Ipv4Addr(10, 11, 0, 11), &sw);
   HostStack s1(h1);
-  PartitionAggregateOptions opts;
-  EXPECT_THROW(PartitionAggregateApp({&s1}, sim::Random(1), opts),
-               std::invalid_argument);
+  HostStack s2(h2);
+  EXPECT_THROW(
+      TcpWorkload({&s1}, sim::Random(1), WorkloadOptions::fig6_requests()),
+      std::invalid_argument);
+
+  auto opts = WorkloadOptions::fig6_requests();
+  opts.stop = sim::millis(100);
+  TcpWorkload requests({&s1, &s2}, sim::Random(1), opts);
+  requests.start();
+  sim.run(sim::millis(50));
+  ASSERT_GT(requests.launched(), 0u);
+  // One worker per request: the answer is 2 KB, not 8 x 2 KB.
+  EXPECT_EQ(requests.samples().front().bytes, 2048u);
 }
 
 TEST(BackgroundTraffic, FlowsCompleteAndFollowDistribution) {
   auto bed = make_f2_8();
   bed.converge();
-  BackgroundTrafficOptions opts;
+  auto opts = WorkloadOptions::fig6_background();
   opts.stop = sim::seconds(30);
-  opts.interarrival_median_s = 0.1;
-  BackgroundTraffic bg(bed.stacks(), sim::Random(5), opts);
+  opts.interarrival = sim::millis(100);
+  TcpWorkload bg(bed.stacks(), sim::Random(5), opts);
   bg.start();
   bed.sim().run(sim::seconds(60));
 
-  ASSERT_GT(bg.flows().size(), 100u);
-  EXPECT_EQ(bg.completed_count(), bg.flows().size());
+  ASSERT_GT(bg.launched(), 100u);
+  EXPECT_EQ(bg.completed(), bg.launched());
   // Median of log-normal sizes should be near the configured median.
   std::vector<std::uint64_t> sizes;
-  for (const auto& f : bg.flows()) sizes.push_back(f.bytes);
+  for (const auto& f : bg.samples()) sizes.push_back(f.bytes);
   std::sort(sizes.begin(), sizes.end());
   const double median = static_cast<double>(sizes[sizes.size() / 2]);
-  EXPECT_GT(median, opts.size_median_bytes * 0.6);
-  EXPECT_LT(median, opts.size_median_bytes * 1.7);
+  EXPECT_GT(median, 20e3 * 0.6);
+  EXPECT_LT(median, 20e3 * 1.7);
 }
 
 TEST(BackgroundTraffic, RejectsSingleHost) {
@@ -103,7 +128,7 @@ TEST(BackgroundTraffic, RejectsSingleHost) {
   auto& h1 = net.add_host("h1", net::Ipv4Addr(10, 11, 0, 10), &sw);
   HostStack s1(h1);
   EXPECT_THROW(
-      BackgroundTraffic({&s1}, sim::Random(1), BackgroundTrafficOptions{}),
+      TcpWorkload({&s1}, sim::Random(1), WorkloadOptions::fig6_background()),
       std::invalid_argument);
 }
 

@@ -281,34 +281,38 @@ int cmd_workload(core::Cli& cli) {
   core::Testbed bed(builder, config);
   bed.converge();
 
-  transport::PartitionAggregateOptions pa;
-  pa.start = sim::seconds(1);
-  pa.stop = sim::seconds(1 + seconds);
-  transport::PartitionAggregateApp app(bed.stacks(), sim::Random(seed + 1),
-                                       pa);
-  app.start();
-  transport::BackgroundTrafficOptions bg;
-  bg.start = pa.start;
-  bg.stop = pa.stop;
-  transport::BackgroundTraffic background(bed.stacks(), sim::Random(seed + 2),
-                                          bg);
+  const sim::Time stop = sim::seconds(1 + seconds);
+  auto request_options = transport::WorkloadOptions::fig6_requests();
+  request_options.start = sim::seconds(1);
+  request_options.stop = stop;
+  transport::TcpWorkload requests(bed.stacks(), sim::Random(seed + 1),
+                                  request_options);
+  requests.start();
+  auto background_options = transport::WorkloadOptions::fig6_background();
+  background_options.start = request_options.start;
+  background_options.stop = stop;
+  transport::TcpWorkload background(bed.stacks(), sim::Random(seed + 2),
+                                    background_options);
   background.start();
   failure::RandomFailureOptions rf;
   rf.start = sim::seconds(2);
-  rf.stop = pa.stop;
+  rf.stop = stop;
   rf.max_concurrent = cf;
   failure::RandomFailureGenerator failures(bed.injector(),
                                            sim::Random(seed + 3), rf);
   failures.start();
-  bed.sim().run(pa.stop + sim::seconds(20));
+  const sim::Time horizon = stop + sim::seconds(20);
+  bed.sim().run(horizon);
 
   stats::Table table({"metric", "value"});
-  table.row({"requests", std::to_string(app.issued_count())});
-  table.row({"completed", std::to_string(app.completed_count())});
+  table.row({"requests", std::to_string(requests.launched())});
+  table.row({"completed", std::to_string(requests.completed())});
   table.row({"failures injected", std::to_string(failures.failures_injected())});
   table.row({"deadline miss ratio",
              stats::Table::percent(
-                 app.deadline_miss_ratio(pa.stop + sim::seconds(20)), 3)});
+                 stats::compute_slo(requests.samples(), 0, 0, horizon)
+                     .miss_out_window,
+                 3)});
   table.print(std::cout);
   return 0;
 }
